@@ -87,7 +87,15 @@ where
     I: IntoIterator<Item = &'a FlowRecord>,
 {
     let filter = candidate_filter(alarm, policy);
-    flows.into_iter().filter(|f| window.overlaps(f) && filter.matches(f)).cloned().collect()
+    flows.into_iter().filter(|f| is_candidate(f, window, &filter)).cloned().collect()
+}
+
+/// Candidate membership: `flow` overlaps the alarm `window` and passes
+/// the alarm's [`candidate_filter`]. Callers that mine borrowed records
+/// in place filter with this instead of collecting
+/// [`candidates_from_iter`]'s clones.
+pub fn is_candidate(flow: &FlowRecord, window: TimeRange, filter: &Filter) -> bool {
+    window.overlaps(flow) && filter.matches(flow)
 }
 
 #[cfg(test)]

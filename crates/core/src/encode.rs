@@ -95,41 +95,56 @@ pub fn encode_flows(flows: &[FlowRecord], metric: SupportMetric) -> TransactionM
     builder.build()
 }
 
-/// Persistent encode state reused across windows: the item dictionary
-/// survives between calls to [`EncodedFlows::encode_warm`], so the
-/// recurring item population (stable servers, popular ports) interns
-/// once and every later window skips the per-alarm dictionary rebuild.
-///
-/// Epoch-based compaction: when the `u16` id space overflows mid-encode
-/// the affected window falls back to a cold build (bit-identical output)
-/// and the dictionary resets, starting a fresh epoch that re-warms
-/// against the live item population.
+/// Reusable encode state for [`EncodedFlows::encode_warm`]: the intern
+/// map and row buffers keep their *capacity* between calls, so a stream
+/// of alarms allocates only each matrix's exact-size columns. No item
+/// survives a call — every encode interns from empty, so its cost and
+/// its matrix's dictionary depend on that candidate set alone.
 #[derive(Debug, Default)]
 pub struct EncodeState {
     dict: ItemDictionary,
+    packets: Vec<u64>,
+    overflows: u64,
+    dropped_items: u64,
+}
+
+/// Dictionary traffic since the last [`EncodeState::take_stats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EncodeStats {
+    /// Items that repeated an item interned earlier in the same encode.
+    pub hits: u64,
+    /// Items interned (first occurrence within their encode).
+    pub misses: u64,
+    /// Encodes whose candidate set held more distinct items than one
+    /// matrix can (`TransactionMatrix::CAPACITY`) and fell back to the
+    /// cold build.
+    pub overflows: u64,
+    /// Least-frequent items those cold builds dropped
+    /// (`TransactionMatrix::dropped_items`).
+    pub dropped_items: u64,
 }
 
 impl EncodeState {
-    /// Fresh state with an empty dictionary at epoch 0.
+    /// Fresh state.
     pub fn new() -> EncodeState {
         EncodeState::default()
     }
 
-    /// Items interned so far in the current epoch.
+    /// Distinct items the last encode interned.
     pub fn interned(&self) -> usize {
         self.dict.len()
     }
 
-    /// Completed compaction cycles.
-    pub fn epoch(&self) -> u64 {
-        self.dict.epoch()
-    }
-
-    /// Drain the dictionary's (hits, misses) counters accumulated since
-    /// the last call — the `extract.dict_hits` / `extract.dict_misses`
-    /// metric sources.
-    pub fn take_stats(&mut self) -> (u64, u64) {
-        self.dict.take_stats()
+    /// Drain the counters accumulated since the last call — the
+    /// `extract.dict_*` / `extract.dropped_items` metric sources.
+    pub fn take_stats(&mut self) -> EncodeStats {
+        let (hits, misses) = self.dict.take_stats();
+        EncodeStats {
+            hits,
+            misses,
+            overflows: std::mem::take(&mut self.overflows),
+            dropped_items: std::mem::take(&mut self.dropped_items),
+        }
     }
 }
 
@@ -151,15 +166,7 @@ pub struct EncodedFlows {
 }
 
 impl EncodedFlows {
-    /// Encode `flows` once; the packet-weight view is derived lazily
-    /// from the same structure.
-    pub fn encode(flows: &[FlowRecord]) -> EncodedFlows {
-        let mut builder = MatrixBuilder::with_capacity(flows.len(), 4);
-        for f in flows {
-            builder.push_row(f.mining_items().iter().map(|&fi| item_of(fi)), 1);
-        }
-        let flow_matrix = builder.build();
-        let packet_weights: Vec<u64> = flows.iter().map(|f| f.packets).collect();
+    fn new(flow_matrix: TransactionMatrix, packet_weights: Vec<u64>) -> EncodedFlows {
         let candidate_packets = packet_weights.iter().sum();
         EncodedFlows {
             flow_matrix,
@@ -169,30 +176,51 @@ impl EncodedFlows {
         }
     }
 
-    /// Encode `flows` against a persistent dictionary: recurring items
-    /// reuse their interned dense ids, so freezing the matrix skips the
-    /// hash-count pass and dictionary sort a cold
-    /// [`encode`](EncodedFlows::encode) pays per call. On `u16` id-space
-    /// overflow the window silently falls back to a cold build and
-    /// `state` starts a new epoch. Warm and cold encodes of the same
-    /// flows mine bit-identically — only the dense-id numbering differs,
-    /// and mined output is canonicalized in item space.
-    pub fn encode_warm(flows: &[FlowRecord], state: &mut EncodeState) -> EncodedFlows {
-        let mut builder = DictMatrixBuilder::with_capacity(&mut state.dict, flows.len(), 4);
+    /// Encode `flows` once through the cold [`MatrixBuilder`] (count
+    /// pass, sorted dictionary, row remap); the packet-weight view is
+    /// derived lazily from the same structure. The reference
+    /// [`encode_warm`](EncodedFlows::encode_warm) is tested against,
+    /// and its fallback past the dictionary's capacity.
+    pub fn encode<'a>(flows: impl IntoIterator<Item = &'a FlowRecord>) -> EncodedFlows {
+        let flows = flows.into_iter();
+        let rows = flows.size_hint().0;
+        let mut builder = MatrixBuilder::with_capacity(rows, 4);
+        let mut packets = Vec::with_capacity(rows);
         for f in flows {
             builder.push_row(f.mining_items().iter().map(|&fi| item_of(fi)), 1);
+            packets.push(f.packets);
         }
-        let Some(flow_matrix) = builder.build() else {
-            state.dict.reset();
-            return EncodedFlows::encode(flows);
-        };
-        let packet_weights: Vec<u64> = flows.iter().map(|f| f.packets).collect();
-        let candidate_packets = packet_weights.iter().sum();
-        EncodedFlows {
-            flow_matrix,
-            packet_weights,
-            packet_matrix: std::sync::OnceLock::new(),
-            candidate_packets,
+        EncodedFlows::new(builder.build(), packets)
+    }
+
+    /// Encode `flows` by interning into `state`'s reusable dictionary:
+    /// one pass, straight from borrowed records — no count pass, no
+    /// dictionary sort, no row remap, no candidate `Vec`. Mines
+    /// bit-identically to [`encode`](EncodedFlows::encode) — only the
+    /// dense-id numbering differs, and mined output is canonicalized in
+    /// item space. A candidate set with more distinct items than one
+    /// matrix holds takes the cold build instead (which drops the
+    /// least-frequent tail) and is counted in [`EncodeStats`].
+    pub fn encode_warm<'a, I>(flows: I, state: &mut EncodeState) -> EncodedFlows
+    where
+        I: IntoIterator<Item = &'a FlowRecord>,
+        I::IntoIter: Clone,
+    {
+        let flows = flows.into_iter();
+        state.packets.clear();
+        let mut builder = DictMatrixBuilder::new(&mut state.dict);
+        for f in flows.clone() {
+            builder.push_row(f.mining_items().iter().map(|&fi| item_of(fi)), 1);
+            state.packets.push(f.packets);
+        }
+        match builder.build() {
+            Some(flow_matrix) => EncodedFlows::new(flow_matrix, state.packets.clone()),
+            None => {
+                let cold = EncodedFlows::encode(flows);
+                state.overflows += 1;
+                state.dropped_items += cold.flow_matrix.dropped_items();
+                cold
+            }
         }
     }
 
@@ -261,6 +289,7 @@ pub fn itemset_filter(items: &[FeatureItem]) -> Filter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anomex_fim::{mine, Algorithm, MinSupport, MiningConfig};
     use std::net::Ipv4Addr;
 
     fn ip(s: &str) -> Ipv4Addr {
@@ -384,68 +413,105 @@ mod tests {
         assert!(itemset_filter(&[]).matches(&flow()));
     }
 
+    /// `n` scan flows from one attacker sweeping `n` consecutive dst
+    /// ports from `first_port` (wrapping), over a small benign mix.
+    fn sweep_window(first_port: u32, n: u32) -> Vec<FlowRecord> {
+        let scan = (0..n).map(|i| {
+            (ip("10.66.66.66"), 55_548, ip("172.16.0.99"), (first_port + i) % 65_536, 1 + i % 3)
+        });
+        let benign = (0..60u32).map(|i| {
+            (Ipv4Addr::from(0x0A00_0000 + i % 7), 40_000 + i % 3, ip("172.16.0.1"), 80, 3 + i)
+        });
+        scan.chain(benign)
+            .map(|(src, sport, dst, dport, packets)| {
+                let (sport, dport) = (sport as u16, dport as u16);
+                FlowRecord::builder()
+                    .src(src, sport)
+                    .dst(dst, dport)
+                    .volume(packets as u64, 900)
+                    .build()
+            })
+            .collect()
+    }
+
+    fn distinct_items(flows: &[FlowRecord]) -> usize {
+        let items: std::collections::HashSet<Item> = flows.iter().flat_map(items_of_flow).collect();
+        items.len()
+    }
+
+    fn eclat(min_support: u64) -> MiningConfig {
+        let min_support = MinSupport::Absolute(min_support);
+        MiningConfig { algorithm: Algorithm::Eclat, min_support, max_len: 4, threads: 1 }
+    }
+
     #[test]
     fn warm_encode_mines_bit_identically_to_cold_across_windows() {
-        use anomex_fim::{mine, Algorithm, MinSupport, MiningConfig};
-        let window = |salt: u32| -> Vec<FlowRecord> {
-            let mut flows = Vec::new();
-            for i in 0..60u32 {
-                flows.push(
-                    FlowRecord::builder()
-                        .time(i as u64, i as u64 + 5)
-                        .src(Ipv4Addr::from(0x0A00_0000 + (i % 7)), 40_000 + (i % 3) as u16)
-                        .dst(Ipv4Addr::from(0xAC10_0000 + (salt % 2)), 80)
-                        .volume(3 + i as u64, 900)
-                        .build(),
-                );
-            }
-            // A few items unique to this window, so later windows both
-            // hit the dictionary and append to it.
-            flows.push(
-                FlowRecord::builder()
-                    .src(Ipv4Addr::from(0xC0A8_0000 + salt), 55_000 + salt as u16)
-                    .dst(ip("172.16.0.1"), 53)
-                    .volume(9, 500)
-                    .build(),
-            );
-            flows
-        };
-        let config = MiningConfig {
-            algorithm: Algorithm::Eclat,
-            min_support: MinSupport::Absolute(3),
-            max_len: 4,
-            threads: 1,
-        };
+        // Twelve windows of a 6k-flow scan resuming where the last one
+        // stopped: the sweep covers the whole port space (and wraps), the
+        // regime that used to grow a cross-window dictionary to its cap.
+        let config = eclat(20);
         let mut state = EncodeState::new();
-        for salt in 0..4u32 {
-            let flows = window(salt);
+        for w in 0..12u32 {
+            let flows = sweep_window(w * 6_000, 6_000);
             let warm = EncodedFlows::encode_warm(&flows, &mut state);
             let cold = EncodedFlows::encode(&flows);
             assert_eq!(warm.candidate_flows(), cold.candidate_flows());
             assert_eq!(warm.candidate_packets(), cold.candidate_packets());
             // Mined output is canonical in item space, so warm (dense
-            // ids in insertion order) and cold (ids in item order) must
+            // ids in first-seen order) and cold (ids in item order) must
             // agree exactly — on both support metrics.
             assert_eq!(mine(warm.flow_matrix(), &config), mine(cold.flow_matrix(), &config));
             assert_eq!(mine(warm.packet_matrix(), &config), mine(cold.packet_matrix(), &config));
+            // Window-local: the dictionary holds this window's items and
+            // nothing from the eleven before it.
+            assert_eq!(state.interned(), distinct_items(&flows), "window {w}");
+            assert_eq!(warm.flow_matrix().n_items(), state.interned());
         }
-        let (hits, misses) = state.take_stats();
-        assert!(hits > misses, "later windows must mostly hit the warm dictionary");
-        assert_eq!(state.epoch(), 0, "no overflow in this population");
+        let stats = state.take_stats();
+        assert!(stats.hits > stats.misses, "scanner and victim repeat within every window");
+        assert_eq!((stats.overflows, stats.dropped_items), (0, 0));
     }
 
     #[test]
     fn warm_encode_state_reports_dictionary_traffic() {
+        // One candidate set past the id space: 33k flows with distinct
+        // source and destination ports are 66k+ distinct items. The
+        // encode falls back to the cold build, which drops the
+        // least-frequent tail — loudly.
+        let wide: Vec<FlowRecord> = (0..33_000u32)
+            .map(|i| {
+                FlowRecord::builder()
+                    .src(ip("10.66.66.66"), i as u16)
+                    .dst(ip("172.16.0.99"), (i + 40_000) as u16)
+                    .volume(2, 88)
+                    .build()
+            })
+            .collect();
+        let dropped = (distinct_items(&wide) - TransactionMatrix::CAPACITY) as u64;
+        assert!(dropped > 0);
         let mut state = EncodeState::new();
+        let warm = EncodedFlows::encode_warm(&wide, &mut state);
+        let cold = EncodedFlows::encode(&wide);
+        assert_eq!(warm.flow_matrix().dropped_items(), dropped);
+        let stats = state.take_stats();
+        assert_eq!((stats.overflows, stats.dropped_items), (1, dropped));
+        let config = eclat(10);
+        assert_eq!(mine(warm.flow_matrix(), &config).len(), 3, "srcIP, dstIP, pair");
+        for (warm, cold) in
+            [(warm.flow_matrix(), cold.flow_matrix()), (warm.packet_matrix(), cold.packet_matrix())]
+        {
+            assert_eq!(mine(warm, &config), mine(cold, &config));
+        }
+
+        // Reuse is counted within one encode, never across two — and
+        // the overflow left nothing behind either.
         let flows = vec![flow(), flow()];
-        let _ = EncodedFlows::encode_warm(&flows, &mut state);
-        let (hits, misses) = state.take_stats();
-        assert_eq!(misses, 4, "four fresh items interned");
-        assert_eq!(hits, 4, "second identical flow hits all four");
-        assert_eq!(state.interned(), 4);
-        let _ = EncodedFlows::encode_warm(&flows, &mut state);
-        let (hits, misses) = state.take_stats();
-        assert_eq!((hits, misses), (8, 0), "fully warm on the second window");
+        for _ in 0..2 {
+            let _ = EncodedFlows::encode_warm(&flows, &mut state);
+            let expected = EncodeStats { hits: 4, misses: 4, overflows: 0, dropped_items: 0 };
+            assert_eq!(state.take_stats(), expected);
+            assert_eq!(state.interned(), 4);
+        }
     }
 
     #[test]

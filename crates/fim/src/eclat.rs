@@ -71,13 +71,11 @@ impl Miner for Eclat {
         }
 
         // Frequent 1-items in ascending id order for a deterministic
-        // DFS; their bitsets come from the shared cache. (For a warm
-        // dictionary id order is insertion order, not item order — the
-        // canonical sort at the end makes the output independent of it.)
-        let root_ids: Vec<u16> = (0..matrix.n_items())
-            .filter(|&id| matrix.item_supports()[id] >= threshold)
-            .map(|id| id as u16)
-            .collect();
+        // DFS; their bitsets come from the shared cache. (For an
+        // interned dictionary id order is first-seen order, not item
+        // order — the canonical sort at the end makes the output
+        // independent of it.)
+        let root_ids = matrix.frequent_ids(threshold);
         let root_bits = matrix.tid_bitsets(&root_ids);
         let roots: Vec<Node> = root_ids
             .iter()

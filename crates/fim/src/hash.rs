@@ -1,7 +1,7 @@
 //! Multiply-mix hashing for the encode hot path.
 //!
-//! The warm-dictionary encode does four [`ItemDictionary`] map lookups
-//! per flow, which makes the hasher the dominant per-flow cost. Items
+//! The per-alarm encode does four [`ItemDictionary`] map lookups per
+//! flow, which makes the hasher the dominant per-flow cost. Items
 //! are single `u64`s with well-spread payloads (tagged feature values),
 //! so SipHash's keyed collision resistance buys nothing here — a
 //! Fibonacci-style multiply (the FxHash construction) hashes in a few

@@ -20,12 +20,13 @@
 //! ## Dense-id order
 //!
 //! Cold builds ([`MatrixBuilder::build`]) sort the dictionary, so dense-id
-//! order equals item order. Warm builds through a persistent
-//! [`ItemDictionary`] keep **insertion** order instead (ids stay stable
-//! across windows); item-order lookups go through a sorted permutation
-//! either way, and every miner's output is independent of the numbering
-//! (itemsets decode to sorted [`Itemset`]s and results are canonically
-//! ordered), so the two paths mine identically.
+//! order equals item order. Interned builds through an
+//! [`ItemDictionary`] keep **first-seen** order instead (no count pass,
+//! no dictionary sort, no row remap); item-order lookups go through a
+//! sorted permutation either way, and every miner's output is
+//! independent of the numbering (itemsets decode to sorted [`Itemset`]s
+//! and results are canonically ordered), so the two paths mine
+//! identically.
 //!
 //! ## Capacity
 //!
@@ -35,12 +36,14 @@
 //! row) and counted in [`TransactionMatrix::dropped_items`]; mining
 //! results are unaffected whenever the effective support threshold is
 //! above [`TransactionMatrix::dropped_max_support`], which for flow
-//! traffic (4 items per row) holds at any practical threshold. A warm
-//! build never drops: [`DictMatrixBuilder::build`] returns `None` on
-//! overflow and the caller re-encodes cold.
+//! traffic (4 items per row) holds at any practical threshold. An
+//! interned build never drops: [`DictMatrixBuilder::build`] returns
+//! `None` on overflow and the caller re-encodes cold.
 
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::hash::FxHashMap;
 use crate::item::{Item, Itemset};
@@ -57,13 +60,12 @@ const PAIR_CACHE_CAP: usize = 4_096;
 #[derive(Debug)]
 struct Columns {
     /// Dense id → item. Sorted for cold builds (dense-id order equals
-    /// item order); insertion-ordered for warm [`ItemDictionary`]
-    /// builds. Shared with the dictionary that produced it.
-    dict: Arc<Vec<Item>>,
+    /// item order); first-seen order for [`ItemDictionary`] builds.
+    dict: Vec<Item>,
     /// Dense ids permuted so the items behind them ascend — the
     /// binary-search index behind [`TransactionMatrix::id_of`]. The
     /// identity permutation for cold builds.
-    lookup: Arc<Vec<u16>>,
+    lookup: Vec<u16>,
     /// Row offsets into `ids`; `len() == rows + 1`.
     offsets: Vec<u32>,
     /// Flat item-id buffer; each row slice is sorted and duplicate-free.
@@ -94,8 +96,8 @@ impl Columns {
 /// Dictionary-encoded, column-leaning transaction storage.
 ///
 /// Build one with [`MatrixBuilder`] (streaming, no per-row allocation),
-/// with [`DictMatrixBuilder`] over a persistent [`ItemDictionary`]
-/// (warm cross-window encode), or via [`TransactionSet::to_matrix`].
+/// with [`DictMatrixBuilder`] over a reusable [`ItemDictionary`] (the
+/// per-alarm encode), or via [`TransactionSet::to_matrix`].
 /// Cloning is cheap: the CSR structure and every cache are shared, only
 /// the weight column is per view.
 #[derive(Debug, Clone)]
@@ -109,6 +111,10 @@ pub struct TransactionMatrix {
     /// Weighted support of every dictionary item (level-1 counts, free
     /// at build time).
     item_supports: Arc<Vec<u64>>,
+    /// Dense ids by descending support under *this* weight column,
+    /// sorted on first use: a threshold's frequent items are a prefix,
+    /// so the top-k search's many rounds never rescan the dictionary.
+    by_support: Arc<OnceLock<Vec<u16>>>,
     /// Cached pair supports under *this* weight column (the bitsets
     /// behind them live on the shared `Columns`). Fresh per re-weighted
     /// view, shared across clones of the same view.
@@ -126,6 +132,29 @@ impl TransactionMatrix {
         MatrixBuilder::new().build()
     }
 
+    /// Assemble a matrix around freshly built columns: level-1 supports
+    /// are counted here, every cache starts empty.
+    fn assemble(cols: Arc<Columns>, weights: Vec<u64>, dropped: (u64, u64)) -> TransactionMatrix {
+        let (total_weight, uniform_weight) = weight_stats(&weights);
+        let mut item_supports = vec![0u64; cols.dict.len()];
+        for (r, w) in weights.iter().enumerate() {
+            for &id in cols.row(r) {
+                item_supports[id as usize] += w;
+            }
+        }
+        TransactionMatrix {
+            cols,
+            weights: Arc::new(weights),
+            total_weight,
+            uniform_weight,
+            item_supports: Arc::new(item_supports),
+            by_support: Arc::new(OnceLock::new()),
+            pair_supports: Arc::new(Mutex::new(HashMap::new())),
+            dropped_items: dropped.0,
+            dropped_max_support: dropped.1,
+        }
+    }
+
     /// Streaming builder.
     pub fn builder() -> MatrixBuilder {
         MatrixBuilder::new()
@@ -141,9 +170,7 @@ impl TransactionMatrix {
         self.len() == 0
     }
 
-    /// Number of distinct dictionary items. For a warm build this is the
-    /// whole persistent dictionary — a superset of the items present in
-    /// the rows (absent entries carry support 0 and never mine).
+    /// Number of distinct dictionary items.
     pub fn n_items(&self) -> usize {
         self.cols.dict.len()
     }
@@ -203,6 +230,22 @@ impl TransactionMatrix {
         &self.item_supports
     }
 
+    /// Dense ids whose support reaches `threshold`, ascending: a prefix
+    /// of the support-sorted id list, which is built once per weight
+    /// view however many thresholds are asked for.
+    pub fn frequent_ids(&self, threshold: u64) -> Vec<u16> {
+        let supports = &self.item_supports;
+        let ranked = self.by_support.get_or_init(|| {
+            let mut ids: Vec<u16> = (0..supports.len()).map(|id| id as u16).collect();
+            ids.sort_unstable_by_key(|&id| Reverse(supports[id as usize]));
+            ids
+        });
+        let frequent = ranked.partition_point(|&id| supports[id as usize] >= threshold);
+        let mut ids = ranked[..frequent].to_vec();
+        ids.sort_unstable();
+        ids
+    }
+
     /// Decode a dense-id slice (ascending) into an [`Itemset`].
     pub fn itemset_of(&self, ids: &[u16]) -> Itemset {
         Itemset::new(ids.iter().map(|&id| self.item(id)).collect())
@@ -221,23 +264,8 @@ impl TransactionMatrix {
     /// Panics when `weights.len()` differs from the row count.
     pub fn with_weights(&self, weights: Vec<u64>) -> TransactionMatrix {
         assert_eq!(weights.len(), self.len(), "weight column must match row count");
-        let (total_weight, uniform_weight) = weight_stats(&weights);
-        let mut item_supports = vec![0u64; self.cols.dict.len()];
-        for (row, w) in (0..self.len()).map(|i| (self.cols.row(i), weights[i])) {
-            for &id in row {
-                item_supports[id as usize] += w;
-            }
-        }
-        TransactionMatrix {
-            cols: Arc::clone(&self.cols),
-            weights: Arc::new(weights),
-            total_weight,
-            uniform_weight,
-            item_supports: Arc::new(item_supports),
-            pair_supports: Arc::new(Mutex::new(HashMap::new())),
-            dropped_items: self.dropped_items,
-            dropped_max_support: self.dropped_max_support,
-        }
+        let dropped = (self.dropped_items, self.dropped_max_support);
+        TransactionMatrix::assemble(Arc::clone(&self.cols), weights, dropped)
     }
 
     /// Flow-support view: every row re-weighted to 1.
@@ -384,6 +412,20 @@ impl From<&TransactionSet> for TransactionMatrix {
     }
 }
 
+/// Sort and deduplicate `buf[start..]` in place: the row just appended
+/// to a flat buffer, without a per-row allocation.
+fn sort_dedup_tail<T: Ord + Copy>(buf: &mut Vec<T>, start: usize) {
+    buf[start..].sort_unstable();
+    let mut write = start;
+    for read in start..buf.len() {
+        if write == start || buf[read] != buf[write - 1] {
+            buf[write] = buf[read];
+            write += 1;
+        }
+    }
+    buf.truncate(write);
+}
+
 fn weight_stats(weights: &[u64]) -> (u64, Option<u64>) {
     let total = weights.iter().sum();
     let uniform = match weights.first() {
@@ -433,16 +475,7 @@ impl MatrixBuilder {
     pub fn push_row(&mut self, row: impl IntoIterator<Item = Item>, weight: u64) {
         let start = self.items.len();
         self.items.extend(row);
-        self.items[start..].sort_unstable();
-        // In-place dedup of the fresh tail.
-        let mut write = start;
-        for read in start..self.items.len() {
-            if write == start || self.items[read] != self.items[write - 1] {
-                self.items[write] = self.items[read];
-                write += 1;
-            }
-        }
-        self.items.truncate(write);
+        sort_dedup_tail(&mut self.items, start);
         let offset =
             u32::try_from(self.items.len()).expect("matrix item buffer exceeds u32 offsets");
         self.offsets.push(offset);
@@ -484,8 +517,6 @@ impl MatrixBuilder {
         };
         dict.sort_unstable();
 
-        let item_supports: Vec<u64> = dict.iter().map(|i| counts[i]).collect();
-
         // Remap rows item → dense id. Rows are sorted by item and the
         // dictionary is sorted too, so mapped ids stay ascending; dropped
         // items simply vanish from their rows. `offsets` is rewritten
@@ -506,110 +537,74 @@ impl MatrixBuilder {
 
         // A sorted dictionary's item-order lookup is the identity.
         let lookup: Vec<u16> = (0..dict.len()).map(|i| i as u16).collect();
-        let (total_weight, uniform_weight) = weight_stats(&weights);
-        TransactionMatrix {
-            cols: Arc::new(Columns {
-                dict: Arc::new(dict),
-                lookup: Arc::new(lookup),
-                offsets,
-                ids,
-                bitsets: Mutex::new(HashMap::new()),
-                pairs: Mutex::new(HashMap::new()),
-            }),
-            weights: Arc::new(weights),
-            total_weight,
-            uniform_weight,
-            item_supports: Arc::new(item_supports),
-            pair_supports: Arc::new(Mutex::new(HashMap::new())),
-            dropped_items,
-            dropped_max_support,
-        }
+        let cols = Columns {
+            dict,
+            lookup,
+            offsets,
+            ids,
+            bitsets: Mutex::new(HashMap::new()),
+            pairs: Mutex::new(HashMap::new()),
+        };
+        TransactionMatrix::assemble(Arc::new(cols), weights, (dropped_items, dropped_max_support))
     }
 }
 
-/// A persistent dictionary shared across windows — the warm-encode path.
+/// Interns one matrix's items to dense ids in first-seen order — the
+/// per-alarm encode path.
 ///
-/// Dense ids are **stable for the dictionary's lifetime**: a new item is
-/// appended at the next free id, a repeated item keeps the id it was
-/// first interned under. [`DictMatrixBuilder`] builds matrices straight
-/// from these ids, skipping the cold path's per-window count pass,
-/// dictionary sort and row remap — the bulk of `extract_encode`.
-///
-/// Mining output is independent of dense-id numbering (itemsets decode
-/// to sorted [`Itemset`]s, results are canonically ordered, and stale
-/// dictionary entries absent from the rows carry support 0, below every
-/// resolvable threshold), so warm and cold builds of the same rows mine
-/// identically.
-///
-/// When interning would overflow the `u16` id space,
-/// [`intern`](ItemDictionary::intern) returns `None`; the caller falls
-/// back to a cold build for that window and
-/// [`reset`](ItemDictionary::reset)s the dictionary — a new **epoch** —
-/// so later windows re-warm against the live item population.
+/// The dictionary is **window-local**: every [`DictMatrixBuilder`]
+/// starts it empty, so a matrix's dictionary is exactly its rows'
+/// distinct items and nothing downstream pays for items an earlier
+/// matrix saw. What survives between builds is *capacity* — the intern
+/// map's table and the row buffers — so a steady stream of similar-sized
+/// alarms allocates only each matrix's exact-size columns.
 #[derive(Debug, Default)]
 pub struct ItemDictionary {
     items: Vec<Item>,
     /// Interning is four lookups per encoded flow — keyed by items the
     /// process produced itself, so the non-keyed multiply hash is safe.
     map: FxHashMap<Item, u16>,
-    epoch: u64,
     hits: u64,
     misses: u64,
-    /// Cached `(dict, lookup)` views handed to built matrices;
-    /// invalidated whenever the dictionary grows or resets.
-    shared: Option<SharedViews>,
+    /// Row buffers of the build in progress (see [`DictMatrixBuilder`]).
+    ids: Vec<u16>,
+    offsets: Vec<u32>,
+    weights: Vec<u64>,
 }
 
-/// The `(dict, lookup)` pair a built matrix shares with its dictionary.
-type SharedViews = (Arc<Vec<Item>>, Arc<Vec<u16>>);
-
 impl ItemDictionary {
-    /// An empty dictionary at epoch 0.
+    /// An empty dictionary.
     pub fn new() -> ItemDictionary {
         ItemDictionary::default()
     }
 
-    /// Interned items so far.
+    /// Items interned by the current (or last) build.
     pub fn len(&self) -> usize {
         self.items.len()
     }
 
-    /// Whether nothing has been interned.
+    /// Whether nothing is interned.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
 
-    /// Completed [`reset`](ItemDictionary::reset) cycles.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Dense id for `item`, interning it at the next free id when new.
-    /// `None` when the `u16` id space is exhausted — the caller should
-    /// cold-build the window and [`reset`](ItemDictionary::reset).
+    /// `None` when the `u16` id space is exhausted — more distinct items
+    /// than one matrix can hold; the caller cold-builds instead.
     pub fn intern(&mut self, item: Item) -> Option<u16> {
-        if let Some(&id) = self.map.get(&item) {
-            self.hits += 1;
-            return Some(id);
+        match self.map.entry(item) {
+            Entry::Occupied(slot) => {
+                self.hits += 1;
+                Some(*slot.get())
+            }
+            Entry::Vacant(slot) => {
+                let id = u16::try_from(self.items.len()).ok()?;
+                self.items.push(item);
+                slot.insert(id);
+                self.misses += 1;
+                Some(id)
+            }
         }
-        if self.items.len() >= TransactionMatrix::CAPACITY {
-            return None;
-        }
-        let id = self.items.len() as u16;
-        self.items.push(item);
-        self.map.insert(item, id);
-        self.shared = None;
-        self.misses += 1;
-        Some(id)
-    }
-
-    /// Drop every interned item and start a new epoch — the compaction
-    /// path when the id space fills or the item population shifts.
-    pub fn reset(&mut self) {
-        self.items.clear();
-        self.map.clear();
-        self.shared = None;
-        self.epoch += 1;
     }
 
     /// Drain the hit/miss counters accumulated since the last call (the
@@ -617,143 +612,76 @@ impl ItemDictionary {
     pub fn take_stats(&mut self) -> (u64, u64) {
         (std::mem::take(&mut self.hits), std::mem::take(&mut self.misses))
     }
-
-    /// Shared dictionary + item-order lookup permutation for a matrix
-    /// build, regenerated only when the dictionary changed since the
-    /// last call.
-    fn shared_views(&mut self) -> SharedViews {
-        if self.shared.is_none() {
-            let mut lookup: Vec<u16> = (0..self.items.len()).map(|i| i as u16).collect();
-            lookup.sort_unstable_by_key(|&id| self.items[id as usize]);
-            self.shared = Some((Arc::new(self.items.clone()), Arc::new(lookup)));
-        }
-        let (items, lookup) = self.shared.as_ref().expect("just populated");
-        (Arc::clone(items), Arc::clone(lookup))
-    }
 }
 
-/// Streaming matrix builder over a persistent [`ItemDictionary`].
-///
-/// The warm counterpart of [`MatrixBuilder`]: rows are interned to
-/// stable dense ids as they are pushed, so freezing the matrix is just
-/// an item-support count — no hash-count pass, no dictionary sort, no
-/// row remap. [`build`](DictMatrixBuilder::build) returns `None` when
-/// the dictionary overflowed mid-window; the caller re-encodes that
-/// window cold and [`ItemDictionary::reset`]s.
+/// Streaming matrix builder over an [`ItemDictionary`]: rows become
+/// dense ids as they are pushed, so freezing the matrix is an
+/// item-support count and one sort of the distinct items — no
+/// hash-count pass, no row remap.
 #[derive(Debug)]
 pub struct DictMatrixBuilder<'a> {
     dict: &'a mut ItemDictionary,
-    ids: Vec<u16>,
-    offsets: Vec<u32>,
-    weights: Vec<u64>,
     overflowed: bool,
 }
 
 impl<'a> DictMatrixBuilder<'a> {
-    /// Builder over `dict`.
+    /// Builder over `dict`, emptied of whatever its last build interned.
     pub fn new(dict: &'a mut ItemDictionary) -> DictMatrixBuilder<'a> {
-        DictMatrixBuilder::with_capacity(dict, 0, 0)
+        dict.items.clear();
+        dict.map.clear();
+        dict.ids.clear();
+        dict.offsets.clear();
+        dict.offsets.push(0);
+        dict.weights.clear();
+        DictMatrixBuilder { dict, overflowed: false }
     }
 
-    /// Builder over `dict` with pre-sized buffers for `rows` rows of
-    /// about `items_per_row` items.
-    pub fn with_capacity(
-        dict: &'a mut ItemDictionary,
-        rows: usize,
-        items_per_row: usize,
-    ) -> DictMatrixBuilder<'a> {
-        let mut offsets = Vec::with_capacity(rows + 1);
-        offsets.push(0);
-        DictMatrixBuilder {
-            dict,
-            ids: Vec::with_capacity(rows * items_per_row),
-            offsets,
-            weights: Vec::with_capacity(rows),
-            overflowed: false,
-        }
-    }
-
-    /// Append one transaction, interning its items. Ids are sorted and
-    /// deduplicated in place inside the flat buffer (rows hold ascending
-    /// *dense ids*, which for a warm dictionary is insertion order, not
-    /// item order — the miners only need a consistent total order).
+    /// Append one transaction, interning its items (rows hold ascending
+    /// *dense ids* — first-seen order, not item order; the miners only
+    /// need a consistent total order). Rows after an overflow are
+    /// ignored: the build has already failed.
     ///
     /// # Panics
     /// Panics when the flat id buffer outgrows `u32` offsets, like
     /// [`MatrixBuilder::push_row`].
     pub fn push_row(&mut self, row: impl IntoIterator<Item = Item>, weight: u64) {
-        if !self.overflowed {
-            let start = self.ids.len();
-            for item in row {
-                match self.dict.intern(item) {
-                    Some(id) => self.ids.push(id),
-                    None => {
-                        self.overflowed = true;
-                        self.ids.truncate(start);
-                        break;
-                    }
-                }
-            }
-            if !self.overflowed {
-                let start_len = self.ids.len();
-                self.ids[start..].sort_unstable();
-                let mut write = start;
-                for read in start..start_len {
-                    if write == start || self.ids[read] != self.ids[write - 1] {
-                        self.ids[write] = self.ids[read];
-                        write += 1;
-                    }
-                }
-                self.ids.truncate(write);
-            }
+        if self.overflowed {
+            return;
         }
-        let offset = u32::try_from(self.ids.len()).expect("matrix item buffer exceeds u32 offsets");
-        self.offsets.push(offset);
-        self.weights.push(weight);
+        let start = self.dict.ids.len();
+        for item in row {
+            let Some(id) = self.dict.intern(item) else {
+                self.overflowed = true;
+                return;
+            };
+            self.dict.ids.push(id);
+        }
+        sort_dedup_tail(&mut self.dict.ids, start);
+        let offset =
+            u32::try_from(self.dict.ids.len()).expect("matrix item buffer exceeds u32 offsets");
+        self.dict.offsets.push(offset);
+        self.dict.weights.push(weight);
     }
 
-    /// Rows pushed so far.
-    pub fn rows(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// Whether interning has overflowed the id space (build will fail).
-    pub fn overflowed(&self) -> bool {
-        self.overflowed
-    }
-
-    /// Freeze into a matrix sharing the dictionary's views, or `None`
-    /// when the dictionary overflowed while pushing rows.
+    /// Freeze into a matrix, or `None` when the rows overflowed the id
+    /// space. The matrix gets exact-size copies of the buffers; the
+    /// dictionary keeps its grown ones for the next build.
     pub fn build(self) -> Option<TransactionMatrix> {
-        let DictMatrixBuilder { dict, ids, offsets, weights, overflowed } = self;
-        if overflowed {
+        if self.overflowed {
             return None;
         }
-        let (items, lookup) = dict.shared_views();
-        let mut item_supports = vec![0u64; items.len()];
-        for (r, w) in weights.iter().enumerate() {
-            for &id in &ids[offsets[r] as usize..offsets[r + 1] as usize] {
-                item_supports[id as usize] += w;
-            }
-        }
-        let (total_weight, uniform_weight) = weight_stats(&weights);
-        Some(TransactionMatrix {
-            cols: Arc::new(Columns {
-                dict: items,
-                lookup,
-                offsets,
-                ids,
-                bitsets: Mutex::new(HashMap::new()),
-                pairs: Mutex::new(HashMap::new()),
-            }),
-            weights: Arc::new(weights),
-            total_weight,
-            uniform_weight,
-            item_supports: Arc::new(item_supports),
-            pair_supports: Arc::new(Mutex::new(HashMap::new())),
-            dropped_items: 0,
-            dropped_max_support: 0,
-        })
+        let dict = self.dict;
+        let mut lookup: Vec<u16> = (0..dict.items.len()).map(|i| i as u16).collect();
+        lookup.sort_unstable_by_key(|&id| dict.items[id as usize]);
+        let cols = Columns {
+            dict: dict.items.clone(),
+            lookup,
+            offsets: dict.offsets.clone(),
+            ids: dict.ids.clone(),
+            bitsets: Mutex::new(HashMap::new()),
+            pairs: Mutex::new(HashMap::new()),
+        };
+        Some(TransactionMatrix::assemble(Arc::new(cols), dict.weights.clone(), (0, 0)))
     }
 }
 
@@ -973,12 +901,12 @@ mod tests {
             &[(&[30, 10], 2), (&[20, 30], 5), (&[10, 20, 30], 1), (&[40], 7)];
         let cold = matrix(rows);
         let mut dict = ItemDictionary::new();
-        let mut b = DictMatrixBuilder::with_capacity(&mut dict, rows.len(), 3);
+        let mut b = DictMatrixBuilder::new(&mut dict);
         for (vals, w) in rows {
             b.push_row(vals.iter().map(|&v| Item(v)), *w);
         }
         let warm = b.build().expect("no overflow");
-        // Warm ids follow insertion order (30 first), not item order …
+        // Interned ids follow first-seen order (30 first), not item order …
         assert_eq!(warm.item(0), Item(30));
         assert_eq!(warm.id_of(Item(10)), Some(1));
         // … but every item-level observable agrees with the cold build.
@@ -1005,53 +933,59 @@ mod tests {
     }
 
     #[test]
-    fn warm_ids_are_stable_across_windows_and_stale_items_never_mine() {
+    fn dictionary_is_window_local_and_counts_within_build_reuse() {
         let mut dict = ItemDictionary::new();
         let mut b = DictMatrixBuilder::new(&mut dict);
         b.push_row([Item(7), Item(3)], 1);
+        b.push_row([Item(7), Item(5)], 1);
         let first = b.build().expect("no overflow");
-        let id7 = first.id_of(Item(7)).unwrap();
-        assert_eq!(dict.take_stats(), (0, 2));
+        assert_eq!(first.n_items(), 3);
+        assert_eq!(dict.take_stats(), (1, 3), "the second 7 is the only reuse");
 
-        // Second window: one repeat, one new item, Item(3) absent.
+        // The next build starts empty: Item(3) and Item(5) are gone, and
+        // the repeated Item(7) is a miss again.
         let mut b = DictMatrixBuilder::new(&mut dict);
         b.push_row([Item(7), Item(9)], 2);
         let second = b.build().expect("no overflow");
-        assert_eq!(second.id_of(Item(7)), Some(id7), "interned id must be stable");
-        assert_eq!(dict.take_stats(), (1, 1));
-        // The dictionary is a superset of the window: the stale item is
-        // present with support 0 and never reaches a mined result.
-        assert_eq!(second.n_items(), 3);
-        assert_eq!(second.support_of(&iset(&[3])), 0);
-        let config = crate::MiningConfig {
-            min_support: crate::support::MinSupport::Absolute(1),
-            ..crate::MiningConfig::default()
-        };
-        let mined = crate::Algorithm::Eclat.miner().mine(&second, &config);
-        assert!(mined.iter().all(|f| !f.itemset.items().contains(&Item(3))), "{mined:?}");
+        assert_eq!(dict.take_stats(), (0, 2));
+        assert_eq!((second.n_items(), dict.len()), (2, 2));
+        assert_eq!(second.id_of(Item(3)), None);
+        assert_eq!(second.item_universe(), vec![Item(7), Item(9)]);
+        // The first matrix owns its columns: the rebuild did not touch it.
+        assert_eq!(first.support_of(&iset(&[7])), 2);
+        assert_eq!(first.support_of(&iset(&[3, 7])), 1);
     }
 
     #[test]
-    fn dict_overflow_fails_build_and_reset_opens_a_new_epoch() {
+    fn dict_overflow_fails_the_build_and_the_next_build_starts_clean() {
         let mut dict = ItemDictionary::new();
-        for i in 0..TransactionMatrix::CAPACITY as u64 {
-            assert!(dict.intern(Item(i)).is_some());
-        }
-        assert_eq!(dict.intern(Item(u64::MAX)), None, "id space exhausted");
-        assert!(dict.intern(Item(5)).is_some(), "existing items still intern");
         let mut b = DictMatrixBuilder::new(&mut dict);
+        for i in 0..TransactionMatrix::CAPACITY as u64 {
+            b.push_row([Item(i)], 1);
+        }
+        b.push_row([Item(5)], 1); // existing items still intern at capacity
         b.push_row([Item(1), Item(u64::MAX)], 1);
         b.push_row([Item(2)], 1);
-        assert!(b.overflowed());
         assert!(b.build().is_none(), "overflowed build must not produce a matrix");
-        assert_eq!(dict.epoch(), 0);
-        dict.reset();
-        assert_eq!(dict.epoch(), 1);
-        assert!(dict.is_empty());
         let mut b = DictMatrixBuilder::new(&mut dict);
         b.push_row([Item(1), Item(u64::MAX)], 1);
-        let m = b.build().expect("fresh epoch has room");
+        let m = b.build().expect("a fresh build has room");
         assert_eq!(m.n_items(), 2);
         assert_eq!(m.support_of(&iset(&[1, u64::MAX])), 1);
+    }
+
+    #[test]
+    fn frequent_ids_are_the_ascending_ids_at_or_above_the_threshold() {
+        let m = matrix(&[(&[1, 2, 3], 5), (&[2, 3], 2), (&[3, 4], 1)]);
+        let ids = |items: &[u64]| -> Vec<u16> {
+            items.iter().map(|&v| m.id_of(Item(v)).unwrap()).collect()
+        };
+        assert_eq!(m.frequent_ids(0), ids(&[1, 2, 3, 4]));
+        assert_eq!(m.frequent_ids(5), ids(&[1, 2, 3]));
+        assert_eq!(m.frequent_ids(6), ids(&[2, 3]));
+        assert_eq!(m.frequent_ids(8), ids(&[3]));
+        assert!(m.frequent_ids(9).is_empty());
+        // Per weight view: unit weights rank the same items differently.
+        assert_eq!(m.unit_weights().frequent_ids(2), ids(&[2, 3]));
     }
 }

@@ -107,7 +107,8 @@ pub mod prelude {
         launch, OverloadPolicy, PipelineHealth, ShardShed, StreamConfig, StreamStats,
     };
     pub use crate::report::{
-        AlarmReport, ContinuousExtractor, ExtractionPool, FaultKind, FaultNotice, StreamReport,
+        AlarmReport, ContinuousExtractor, DictCounters, ExtractionPool, FaultKind, FaultNotice,
+        StreamReport,
     };
     pub use crate::window::{
         ClosedWindow, ShardWindows, WindowConfig, WindowManager, WindowRecords, WindowShard,

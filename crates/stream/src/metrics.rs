@@ -23,6 +23,7 @@ pub use anomex_obs::{Counter, Gauge, Histogram, HistogramSummary, MetricValue, M
 use serde::{Serialize, Value};
 
 use crate::detector::DetectorInstruments;
+use crate::report::DictCounters;
 
 macro_rules! def {
     ($ident:ident, $name:literal, $kind:ident, $unit:literal, $stage:literal, $help:literal) => {
@@ -107,7 +108,15 @@ def!(
     Histogram,
     "ns",
     "shard",
-    "Wall time a shard worker spends applying one drained batch (window pushes, closes and control sends — downstream backpressure stalls show up here)."
+    "Wall time a shard worker spends applying one drained batch (window pushes and watermark closes; the hand-off to the control thread is timed apart, on shard.ctrl_stall_ns)."
+);
+def!(
+    SHARD_CTRL_STALL_NS,
+    "shard.ctrl_stall_ns",
+    Histogram,
+    "ns",
+    "shard",
+    "Shard-worker time blocked handing one report of closed windows to the control thread (0 for a non-blocking hand-off) — downstream backpressure on the window-bounded control channel."
 );
 def!(
     SHARD_LATE_DROPPED,
@@ -227,7 +236,7 @@ def!(
     Counter,
     "items",
     "extract",
-    "Items resolved against the warm cross-window encode dictionary."
+    "Encoded items that repeat an item of the same candidate set (the dictionary is per alarm: reuse is within one encode, never across windows)."
 );
 def!(
     EXTRACT_DICT_MISSES,
@@ -235,7 +244,23 @@ def!(
     Counter,
     "items",
     "extract",
-    "Items newly interned into the cross-window encode dictionary (cold traffic)."
+    "Items interned by an encode: each candidate set's distinct items, summed over alarms."
+);
+def!(
+    EXTRACT_DICT_OVERFLOWS,
+    "extract.dict_overflows",
+    Counter,
+    "encodes",
+    "extract",
+    "Candidate sets holding more distinct items than one matrix can (65,536), encoded by the cold fallback."
+);
+def!(
+    EXTRACT_DROPPED_ITEMS,
+    "extract.dropped_items",
+    Counter,
+    "items",
+    "extract",
+    "Least-frequent items dropped from oversized candidate sets by the cold fallback (itemsets at or below their support may be missing from those reports)."
 );
 def!(
     REPORT_EMITTED,
@@ -411,6 +436,7 @@ pub static CATALOG: &[MetricDef] = &[
     SHARD_RECV_BATCH,
     SHARD_QUEUE_DEPTH,
     SHARD_APPLY_NS,
+    SHARD_CTRL_STALL_NS,
     SHARD_LATE_DROPPED,
     SHARD_OUT_OF_SPAN,
     MERGE_OFFER_NS,
@@ -427,6 +453,8 @@ pub static CATALOG: &[MetricDef] = &[
     EXTRACT_POOL_STALL_NS,
     EXTRACT_DICT_HITS,
     EXTRACT_DICT_MISSES,
+    EXTRACT_DICT_OVERFLOWS,
+    EXTRACT_DROPPED_ITEMS,
     REPORT_EMITTED,
     REPORT_DROPPED,
     REPORT_QUEUE_DEPTH,
@@ -564,6 +592,7 @@ pub(crate) struct PipelineMetrics {
     pub(crate) recv_batch: Histogram,
     pub(crate) shard_queue_depth: Histogram,
     pub(crate) shard_apply: StageTimer,
+    pub(crate) ctrl_stall: Histogram,
     pub(crate) late_dropped: Counter,
     pub(crate) out_of_span: Counter,
     pub(crate) merge_offer: StageTimer,
@@ -575,8 +604,7 @@ pub(crate) struct PipelineMetrics {
     pub(crate) extract_mine: StageTimer,
     pub(crate) extract_queue_depth: Gauge,
     pub(crate) extract_stall: Histogram,
-    pub(crate) dict_hits: Counter,
-    pub(crate) dict_misses: Counter,
+    pub(crate) extract_dict: DictCounters,
     pub(crate) reports_emitted: Counter,
     pub(crate) reports_dropped: Counter,
     pub(crate) report_queue_depth: Gauge,
@@ -612,6 +640,7 @@ impl PipelineMetrics {
             recv_batch: registry.histogram(&SHARD_RECV_BATCH),
             shard_queue_depth: registry.histogram(&SHARD_QUEUE_DEPTH),
             shard_apply: registry.timer(&SHARD_APPLY_NS),
+            ctrl_stall: registry.histogram(&SHARD_CTRL_STALL_NS),
             late_dropped: registry.counter(&SHARD_LATE_DROPPED),
             out_of_span: registry.counter(&SHARD_OUT_OF_SPAN),
             merge_offer: registry.timer(&MERGE_OFFER_NS),
@@ -623,8 +652,12 @@ impl PipelineMetrics {
             extract_mine: registry.timer(&EXTRACT_MINE_NS),
             extract_queue_depth: registry.gauge(&EXTRACT_QUEUE_DEPTH),
             extract_stall: registry.histogram(&EXTRACT_POOL_STALL_NS),
-            dict_hits: registry.counter(&EXTRACT_DICT_HITS),
-            dict_misses: registry.counter(&EXTRACT_DICT_MISSES),
+            extract_dict: DictCounters {
+                hits: registry.counter(&EXTRACT_DICT_HITS),
+                misses: registry.counter(&EXTRACT_DICT_MISSES),
+                overflows: registry.counter(&EXTRACT_DICT_OVERFLOWS),
+                dropped_items: registry.counter(&EXTRACT_DROPPED_ITEMS),
+            },
             reports_emitted: registry.counter(&REPORT_EMITTED),
             reports_dropped: registry.counter(&REPORT_DROPPED),
             report_queue_depth: registry.gauge(&REPORT_QUEUE_DEPTH),

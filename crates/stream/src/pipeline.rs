@@ -16,9 +16,17 @@
 //!                                               subscriber Receiver<StreamReport>
 //! ```
 //!
-//! Every channel along the record path is bounded, so a slow miner
-//! backpressures through the workers into [`IngestHandle::push`] rather
-//! than buffering without limit. The report channel is bounded too, but
+//! Both hops in front of the control thread are bounded, each in its
+//! own unit. The ingest rings carry *records*
+//! ([`StreamConfig::queue_depth`] messages per shard). The
+//! shard→control channel carries whole *windows*: it holds
+//! [`window_backlog`] reports — two per shard, one being merged and one
+//! queued — so what a busy extractor holds back is a fixed number of
+//! windows, in memory and in report latency alike, however long the
+//! storm lasts. A slow miner therefore backpressures through the workers
+//! into [`IngestHandle::push`] rather than buffering without limit (the
+//! time a shard spends blocked on the hand-off is
+//! `shard.ctrl_stall_ns`). The report channel is bounded too, but
 //! with a **drop-and-count** policy instead of backpressure: reports are
 //! `try_send`-ed, a full queue drops the report and bumps
 //! [`StreamStats::reports_dropped`], and the next delivered report
@@ -46,8 +54,8 @@ use crate::fault::{ActiveFaults, FaultPlan, FaultSite, Supervision, MAX_POOL_RES
 use crate::ingest::{PipelineCore, PipelineJoin};
 use crate::metrics::{MetricsConfig, MetricsReport, PipelineMetrics};
 use crate::report::{
-    supervised_push, ContinuousExtractor, ExtractionPool, FaultKind, FaultNotice, RebuildSpec,
-    StreamReport,
+    send_recording_stall, supervised_push, ContinuousExtractor, ExtractionPool, FaultKind,
+    FaultNotice, RebuildSpec, StreamReport,
 };
 use crate::window::{ShardWindows, WindowConfig, WindowManager, WindowShard};
 use anomex_obs::stage_timer;
@@ -59,8 +67,10 @@ pub use crate::ingest::IngestHandle;
 pub struct StreamConfig {
     /// Ingest worker threads; records are routed by 5-tuple shard.
     pub shards: usize,
-    /// Capacity of each bounded channel on the record path — the
-    /// backpressure depth.
+    /// Capacity of each shard's ingest ring, in messages (records and
+    /// watermarks) — the backpressure depth in front of the shard
+    /// workers. The window-carrying hops behind them are not configured:
+    /// they hold [`window_backlog`] windows.
     pub queue_depth: usize,
     /// Records buffered per shard in each [`IngestHandle`] before one
     /// batched `send_many` hands them to the worker; the sender-side
@@ -315,7 +325,7 @@ pub fn launch(config: StreamConfig) -> (IngestHandle, Receiver<StreamReport>) {
 
     let metrics = Arc::new(PipelineMetrics::new(&config.metrics));
     let faults = ActiveFaults::new(&config.faults, metrics.fault_injected.clone());
-    let (ctrl_tx, ctrl_rx) = bounded::<CtrlMsg>(config.queue_depth);
+    let (ctrl_tx, ctrl_rx) = bounded::<CtrlMsg>(window_backlog(config.shards));
     let (report_tx, report_rx) = bounded::<StreamReport>(config.report_queue.max(1));
     let (metrics_tx, metrics_rx) = bounded::<MetricsReport>(config.metrics.report_queue.max(1));
 
@@ -419,15 +429,19 @@ const SHARD_RECV_BATCH: usize = 256;
 /// a ready run while capping the buffered `IntervalStat` clones.
 const DETECT_POOL_QUEUE: usize = 64;
 
-/// Shard reports the control thread coalesces into one bulk
-/// stage/drain pass before merging. Bounds how long a sustained report
-/// firehose can postpone window emission.
-const CTRL_COALESCE: usize = 128;
-
-/// Windows the control thread may queue to the extraction worker ahead
-/// of it (window snapshots are Arc-segment clones, so the buffered
-/// cost per queued window is a few pointers plus the alarm list).
-const EXTRACT_POOL_QUEUE: usize = 64;
+/// Closed windows that may wait in front of a stage that consumes whole
+/// windows — shard reports in front of the control thread, window
+/// snapshots in front of the extraction worker: two per shard, one
+/// being processed and one queued behind it. Every queued entry pins a
+/// window's records, so this (not a message count) is what bounds the
+/// memory and the queueing delay of a run in which every window alarms.
+/// It is also how many shard reports the control thread coalesces into
+/// one stage/drain pass: blocked shards refill the channel as fast as
+/// it is drained, so an uncapped pass would pull the backlog the
+/// channel refuses to hold into the merge stage instead.
+pub fn window_backlog(shards: usize) -> usize {
+    2 * shards
+}
 
 /// One ingest shard: windows its records, closes them on watermarks.
 /// Runs under the spawn harness's `catch_unwind` — a panic here is
@@ -442,7 +456,9 @@ fn shard_worker(
 ) {
     let mut windows = ShardWindows::new(shard, config);
     let mut batch: Vec<ShardMsg> = Vec::with_capacity(SHARD_RECV_BATCH);
-    'recv: while rx.recv_many(&mut batch, SHARD_RECV_BATCH) > 0 {
+    let mut closed: Vec<CtrlMsg> = Vec::new();
+    let mut flushed = false;
+    while !flushed && rx.recv_many(&mut batch, SHARD_RECV_BATCH) > 0 {
         if faults.fire(FaultSite::ShardPanic(shard)) {
             panic!("fault-inject: shard worker panic");
         }
@@ -450,37 +466,49 @@ fn shard_worker(
             metrics.recv_batch.record(batch.len() as u64);
             metrics.shard_queue_depth.record(rx.len() as u64);
         }
-        // Times the whole drained batch: window pushes, watermark
-        // closes and control sends — a stall on the control channel is
-        // downstream backpressure and deliberately shows up here.
-        stage_timer!(metrics.shard_apply);
-        for msg in batch.drain(..) {
-            match msg {
-                ShardMsg::Record(record) => {
-                    windows.push(record);
-                }
-                ShardMsg::Watermark(watermark_ms) => {
-                    let frontier_before = windows.frontier();
-                    let closed = windows.close_up_to(watermark_ms);
-                    if closed.is_empty() && windows.frontier() == frontier_before {
-                        // Stale watermark (multi-handle intake repeats
-                        // them): nothing closed, frontier unmoved — the
-                        // manager needs no report.
-                        continue;
+        {
+            // Times the drained batch's own work: window pushes and
+            // watermark closes. The reports it produced are handed over
+            // after the span ends, so waiting on the control thread is
+            // `shard.ctrl_stall_ns`, never apply time.
+            stage_timer!(metrics.shard_apply);
+            for msg in batch.drain(..) {
+                match msg {
+                    ShardMsg::Record(record) => {
+                        windows.push(record);
                     }
-                    let report =
-                        CtrlMsg::Report { shard, frontier: windows.frontier(), windows: closed };
-                    if ctrl.send(report).is_err() {
-                        return; // control thread gone; nothing left to do
+                    ShardMsg::Watermark(watermark_ms) => {
+                        let frontier_before = windows.frontier();
+                        let partials = windows.close_up_to(watermark_ms);
+                        if partials.is_empty() && windows.frontier() == frontier_before {
+                            // Stale watermark (multi-handle intake repeats
+                            // them): nothing closed, frontier unmoved — the
+                            // manager needs no report.
+                            continue;
+                        }
+                        closed.push(CtrlMsg::Report {
+                            shard,
+                            frontier: windows.frontier(),
+                            windows: partials,
+                        });
+                    }
+                    ShardMsg::Flush => {
+                        flushed = true;
+                        break;
                     }
                 }
-                ShardMsg::Flush => break 'recv,
+            }
+        }
+        for report in closed.drain(..) {
+            if !send_recording_stall(ctrl, report, &metrics.ctrl_stall) {
+                return; // control thread gone; nothing left to do
             }
         }
     }
     // Flush (or every ingest handle dropped): close everything and seal.
-    let closed = windows.flush();
-    let _ = ctrl.send(CtrlMsg::Report { shard, frontier: windows.frontier(), windows: closed });
+    let rest = windows.flush();
+    let seal = CtrlMsg::Report { shard, frontier: windows.frontier(), windows: rest };
+    let _ = send_recording_stall(ctrl, seal, &metrics.ctrl_stall);
     let _ = ctrl.send(CtrlMsg::Done {
         late_dropped: windows.late_dropped(),
         out_of_span: windows.out_of_span(),
@@ -605,10 +633,10 @@ fn control_loop(
     };
     let mut extractor = ContinuousExtractor::new(config.extractor, config.retain_windows);
     extractor.instrument(metrics.extract_encode.clone(), metrics.extract_mine.clone());
-    extractor.instrument_dict(metrics.dict_hits.clone(), metrics.dict_misses.clone());
+    extractor.instrument_dict(metrics.extract_dict.clone());
     let mut extract = if config.extraction_workers > 0 {
         ExtractDriver::Pool(extractor.into_pool_supervised(
-            EXTRACT_POOL_QUEUE,
+            window_backlog(config.shards),
             metrics.extract_stall.clone(),
             extract_supervision,
         ))
@@ -670,6 +698,7 @@ fn control_loop(
 
     let mut done = 0usize;
     let mut shard_faults: Vec<usize> = Vec::new();
+    let coalesce = window_backlog(config.shards);
     while done < config.shards {
         let Ok(first) = ctrl_rx.recv() else {
             break; // every worker gone (panic path): emit what we can
@@ -679,8 +708,8 @@ fn control_loop(
         // per-report frontier scans and emission walks amortize over
         // the batch, and the detector stage receives one long run of
         // ready windows instead of many short ones (which is what the
-        // pool's dispatch-ahead feeds on). Bounded so a firehose of
-        // reports cannot postpone emission indefinitely.
+        // pool's dispatch-ahead feeds on). Bounded by the same window
+        // backlog as the channel itself (see `window_backlog`).
         let mut staged = 0usize;
         let mut msg = Some(first);
         loop {
@@ -705,7 +734,7 @@ fn control_loop(
                 }
                 None => {}
             }
-            if staged >= CTRL_COALESCE {
+            if staged >= coalesce {
                 break;
             }
             match ctrl_rx.try_recv() {

@@ -16,10 +16,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-use anomex_core::candidate::{candidate_filter, candidates_from_iter};
+use anomex_core::candidate::{candidate_filter, is_candidate};
 use anomex_core::encode::{EncodeState, EncodedFlows};
 use anomex_core::extract::{Extraction, Extractor, ExtractorConfig};
 use anomex_detect::alarm::Alarm;
+use anomex_flow::filter::Filter;
+use anomex_flow::record::FlowRecord;
 use anomex_flow::store::TimeRange;
 use anomex_obs::{Counter, Histogram, StageTimer};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError, TrySendError};
@@ -174,8 +176,22 @@ pub struct ContinuousExtractor {
     encode_state: EncodeState,
     encode_timer: StageTimer,
     mine_timer: StageTimer,
-    dict_hits: Counter,
-    dict_misses: Counter,
+    dict: DictCounters,
+}
+
+/// Where a [`ContinuousExtractor`] reports its encode dictionary's
+/// traffic: the `extract.dict_*` and `extract.dropped_items` counters.
+/// The default counts nothing.
+#[derive(Debug, Clone, Default)]
+pub struct DictCounters {
+    /// Items repeating an item of the same candidate set.
+    pub hits: Counter,
+    /// Items interned (first seen in their candidate set).
+    pub misses: Counter,
+    /// Candidate sets past the dictionary's capacity, encoded cold.
+    pub overflows: Counter,
+    /// Least-frequent items those cold encodes dropped.
+    pub dropped_items: Counter,
 }
 
 impl ContinuousExtractor {
@@ -189,8 +205,7 @@ impl ContinuousExtractor {
             encode_state: EncodeState::new(),
             encode_timer: StageTimer::noop(),
             mine_timer: StageTimer::noop(),
-            dict_hits: Counter::noop(),
-            dict_misses: Counter::noop(),
+            dict: DictCounters::default(),
         }
     }
 
@@ -202,12 +217,10 @@ impl ContinuousExtractor {
         self.mine_timer = mine;
     }
 
-    /// Report warm-dictionary traffic on the given counters
-    /// (`extract.dict_hits` / `extract.dict_misses`): drained after
-    /// every window so the split is visible while the stream runs.
-    pub fn instrument_dict(&mut self, hits: Counter, misses: Counter) {
-        self.dict_hits = hits;
-        self.dict_misses = misses;
+    /// Report encode-dictionary traffic on the given counters: drained
+    /// after every window so the split is visible while the stream runs.
+    pub fn instrument_dict(&mut self, counters: DictCounters) {
+        self.dict = counters;
     }
 
     /// Number of flow records currently retained.
@@ -232,30 +245,31 @@ impl ContinuousExtractor {
         }
         // One encoded matrix per distinct candidate selection: alarms
         // sharing (window, hint filter) mine the same EncodedFlows.
-        // Candidate selection walks the retained Arc segments directly,
-        // in window order (deterministic: windows arrive in index
-        // order) — only matching candidates are ever cloned, never the
-        // whole horizon.
+        // Selection walks the retained Arc segments in window order
+        // (deterministic: windows arrive in index order) and keeps
+        // references — no record is cloned, candidate or not — so the
+        // encode span times the encode, not the walk over the horizon.
         let policy = self.extractor.config().policy;
-        let mut encoded: Vec<(TimeRange, String, EncodedFlows)> = Vec::new();
+        let mut encoded: Vec<(TimeRange, Filter, EncodedFlows)> = Vec::new();
         let reports: Vec<StreamReport> = alarms
             .iter()
             .map(|ensemble| {
                 let alarm = &ensemble.alarm;
-                let filter = candidate_filter(alarm, policy).to_string();
+                let filter = candidate_filter(alarm, policy);
                 let enc =
                     match encoded.iter().position(|(w, f, _)| *w == alarm.window && *f == filter) {
                         Some(i) => &encoded[i].2,
                         None => {
-                            let cands = candidates_from_iter(
-                                self.retained.iter().flat_map(|w| w.records.iter()),
-                                alarm.window,
-                                alarm,
-                                policy,
-                            );
+                            let cands: Vec<&FlowRecord> = self
+                                .retained
+                                .iter()
+                                .flat_map(|w| w.records.iter())
+                                .filter(|f| is_candidate(f, alarm.window, &filter))
+                                .collect();
+                            let cands = cands.iter().copied();
                             let state = &mut self.encode_state;
                             let enc =
-                                self.encode_timer.time(|| EncodedFlows::encode_warm(&cands, state));
+                                self.encode_timer.time(|| EncodedFlows::encode_warm(cands, state));
                             encoded.push((alarm.window, filter, enc));
                             &encoded.last().expect("just pushed").2
                         }
@@ -269,9 +283,11 @@ impl ContinuousExtractor {
                 })
             })
             .collect();
-        let (hits, misses) = self.encode_state.take_stats();
-        self.dict_hits.add(hits);
-        self.dict_misses.add(misses);
+        let stats = self.encode_state.take_stats();
+        self.dict.hits.add(stats.hits);
+        self.dict.misses.add(stats.misses);
+        self.dict.overflows.add(stats.overflows);
+        self.dict.dropped_items.add(stats.dropped_items);
         reports
     }
 
@@ -327,8 +343,7 @@ impl ContinuousExtractor {
             horizon: self.horizon,
             encode_timer: self.encode_timer.clone(),
             mine_timer: self.mine_timer.clone(),
-            dict_hits: self.dict_hits.clone(),
-            dict_misses: self.dict_misses.clone(),
+            dict: self.dict.clone(),
         }
     }
 }
@@ -343,15 +358,14 @@ pub(crate) struct RebuildSpec {
     horizon: usize,
     encode_timer: StageTimer,
     mine_timer: StageTimer,
-    dict_hits: Counter,
-    dict_misses: Counter,
+    dict: DictCounters,
 }
 
 impl RebuildSpec {
     pub(crate) fn build(&self) -> ContinuousExtractor {
         let mut extractor = ContinuousExtractor::new(self.config, self.horizon);
         extractor.instrument(self.encode_timer.clone(), self.mine_timer.clone());
-        extractor.instrument_dict(self.dict_hits.clone(), self.dict_misses.clone());
+        extractor.instrument_dict(self.dict.clone());
         extractor
     }
 }
@@ -438,6 +452,27 @@ fn spawn_extract_worker(
         .spawn(move || pool_worker(extractor, task_rx, result_tx, faults))
         .expect("spawn extraction worker");
     (task_tx, result_rx, join)
+}
+
+/// Hand `msg` to a bounded stage queue: non-blocking when there is room
+/// (`stall` records 0), otherwise a blocking send whose wait `stall`
+/// records. `false` when the receiving side is gone.
+pub(crate) fn send_recording_stall<T>(tx: &Sender<T>, msg: T, stall: &Histogram) -> bool {
+    match tx.try_send(msg) {
+        Ok(()) => {
+            stall.record(0);
+            true
+        }
+        Err(TrySendError::Full(msg)) => {
+            let start = stall.is_enabled().then(Instant::now);
+            let sent = tx.send(msg).is_ok();
+            if let Some(start) = start {
+                stall.record(start.elapsed().as_nanos() as u64);
+            }
+            sent
+        }
+        Err(TrySendError::Disconnected(_)) => false,
+    }
 }
 
 /// The dedicated extraction worker: drives the moved-in
@@ -555,33 +590,12 @@ impl ExtractionPool {
             alarms: alarms.clone(),
             attempts: 0,
         });
-        let sent = {
-            // Invariant: a live worker exists whenever `inline` is
-            // `None` — every recovery path installs one or the other
-            // before returning.
-            let tx = self.task_tx.as_ref().expect("worker present while not failed over");
-            match tx.try_send((window, alarms)) {
-                Ok(()) => {
-                    self.stall.record(0);
-                    true
-                }
-                Err(TrySendError::Full(task)) => {
-                    let start = if self.stall.is_enabled() { Some(Instant::now()) } else { None };
-                    // A blocking send unblocks with Err when the worker
-                    // dies mid-wait (its receiver drops on exit).
-                    match tx.send(task) {
-                        Ok(()) => {
-                            if let Some(start) = start {
-                                self.stall.record(start.elapsed().as_nanos() as u64);
-                            }
-                            true
-                        }
-                        Err(_) => false,
-                    }
-                }
-                Err(TrySendError::Disconnected(_)) => false,
-            }
-        };
+        // Invariant: a live worker exists whenever `inline` is `None` —
+        // every recovery path installs one or the other before
+        // returning. A blocking send unblocks with a failure when the
+        // worker dies mid-wait (its receiver drops on exit).
+        let tx = self.task_tx.as_ref().expect("worker present while not failed over");
+        let sent = send_recording_stall(tx, (window, alarms), &self.stall);
         if !sent {
             // The worker died mid-hand-off; its sentinel is already
             // queued on the result channel. pump() recovers and the
@@ -776,7 +790,6 @@ impl Drop for ExtractionPool {
 mod tests {
     use super::*;
     use anomex_detect::interval::IntervalStat;
-    use anomex_flow::record::FlowRecord;
     use anomex_flow::store::TimeRange;
     use std::net::Ipv4Addr;
 
@@ -878,24 +891,68 @@ mod tests {
         assert!(ce.push_window(window_with_scan(0, 60_000, 10), &[]).is_empty());
     }
 
+    fn standalone_dict_counters() -> DictCounters {
+        DictCounters {
+            hits: Counter::standalone(),
+            misses: Counter::standalone(),
+            overflows: Counter::standalone(),
+            dropped_items: Counter::standalone(),
+        }
+    }
+
     #[test]
-    fn warm_dictionary_survives_across_windows() {
-        let mut ce = ContinuousExtractor::new(ExtractorConfig::default(), 2);
-        let hits = Counter::standalone();
-        let misses = Counter::standalone();
-        ce.instrument_dict(hits.clone(), misses.clone());
+    fn dictionary_counters_report_within_window_reuse() {
+        // The same scan in four consecutive windows: the dictionary is
+        // window-local, so every window pays the same misses (its own
+        // distinct items) and finds the same reuse (the scanner's
+        // address and source port on every flow) — nothing carries over.
+        let mut ce = ContinuousExtractor::new(ExtractorConfig::default(), 1);
+        let dict = standalone_dict_counters();
+        ce.instrument_dict(dict.clone());
+        let mut per_window = Vec::new();
         for index in 0..4 {
             let window = window_with_scan(index, 60_000, 120);
             let alarm = Alarm::new(index, "kl", window.range);
+            let before = (dict.hits.get(), dict.misses.get());
             ce.push_window(window, &[EnsembleAlarm::solo(alarm)]);
+            per_window.push((dict.hits.get() - before.0, dict.misses.get() - before.1));
         }
-        assert!(misses.get() > 0, "first window interns its items");
-        assert!(
-            hits.get() > misses.get(),
-            "recurring population must mostly hit: {} hits / {} misses",
-            hits.get(),
-            misses.get()
-        );
+        let (hits, misses) = per_window[0];
+        assert!(hits > misses && misses > 120, "{hits} hits / {misses} misses");
+        assert!(per_window.iter().all(|w| *w == per_window[0]), "{per_window:?}");
+        assert_eq!((dict.overflows.get(), dict.dropped_items.get()), (0, 0));
+    }
+
+    #[test]
+    fn oversized_candidate_set_is_counted_not_silent() {
+        // 33k flows with distinct ports on both sides: more distinct
+        // items than one matrix holds. Extraction still reports (the
+        // scanner pair is far above the dropped tail's support) and the
+        // shrinkage lands on the counters.
+        let range = TimeRange::window_at(0, 0, 60_000);
+        let records: Vec<FlowRecord> = (0..33_000u32)
+            .map(|i| {
+                FlowRecord::builder()
+                    .time(i as u64 % 60_000, i as u64 % 60_000 + 1)
+                    .src("10.0.0.9".parse().unwrap(), i as u16)
+                    .dst("172.16.0.1".parse().unwrap(), (i + 40_000) as u16)
+                    .volume(1, 44)
+                    .build()
+            })
+            .collect();
+        let window = ClosedWindow {
+            index: 0,
+            range,
+            stat: IntervalStat::empty(range),
+            records: records.into(),
+        };
+        let mut ce = ContinuousExtractor::new(ExtractorConfig::default(), 1);
+        let dict = standalone_dict_counters();
+        ce.instrument_dict(dict.clone());
+        let reports = ce.push_window(window, &[EnsembleAlarm::solo(Alarm::new(0, "kl", range))]);
+        assert_eq!(reports[0].extraction().unwrap().itemsets[0].flow_support, 33_000);
+        assert_eq!(dict.overflows.get(), 1);
+        assert_eq!(dict.dropped_items.get(), 66_002 - 65_536);
     }
 
     /// The pool and the inline extractor over the same window/alarm

@@ -230,7 +230,7 @@ impl WindowRecords {
     }
 
     /// Iterate every record in shard order.
-    pub fn iter(&self) -> impl Iterator<Item = &FlowRecord> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = &FlowRecord> + Clone + '_ {
         self.segments.iter().flat_map(|s| s.iter())
     }
 

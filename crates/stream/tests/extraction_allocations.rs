@@ -10,61 +10,17 @@
 //!    "concatenate every retained window into one `Vec`" clone must
 //!    stay dead.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use anomex_core::prelude::ExtractorConfig;
 use anomex_detect::interval::IntervalStat;
 use anomex_detect::prelude::Alarm;
 use anomex_flow::prelude::*;
 use anomex_stream::prelude::*;
 
-/// Pass-through to the system allocator that counts every allocation
-/// (count and bytes requested). Deallocations are left uncounted on
-/// purpose: the assertions below are about how much *new* memory a
-/// code path asks for, not its resident footprint.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: a pure pass-through — every pointer handed out comes from
-// `System.alloc` with the caller's layout, and `dealloc` returns the
-// same pointer/layout pair straight to `System.dealloc`; the counters
-// are lock-free atomics and themselves allocate nothing.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: delegates to `System.alloc` with the caller's layout
-    // unchanged, so `System`'s guarantees (alignment, size, null on
-    // failure) carry over verbatim; the counter updates cannot fail or
-    // allocate.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: forwarded verbatim; the caller upholds the `alloc`
-        // layout contract.
-        unsafe { System.alloc(layout) }
-    }
-    // SAFETY: every pointer this allocator hands out comes from
-    // `System.alloc`, so returning it to `System.dealloc` with the
-    // caller's (identical) layout satisfies `dealloc`'s contract.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was produced by `System.alloc` in `alloc`
-        // above with this same `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+mod common;
+use common::{bytes_allocated, reset_bytes_allocated, CountingAlloc};
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
-
-fn reset_counters() {
-    ALLOCS.store(0, Ordering::Relaxed);
-    BYTES.store(0, Ordering::Relaxed);
-}
-
-fn bytes_allocated() -> u64 {
-    BYTES.load(Ordering::Relaxed)
-}
 
 /// A window of `flows` near-identical benign records: huge record
 /// payload, tiny feature distributions (so an [`IntervalStat`] clone
@@ -112,7 +68,7 @@ fn snapshots_and_alarmed_extraction_never_reclone_the_horizon() {
     // --- Claim 1: the dispatch snapshot is O(1) in the record count.
     let big = bulk_window(0, 100_000);
     let payload = big.records.len() as u64 * record_bytes;
-    reset_counters();
+    reset_bytes_allocated();
     let snapshot = big.clone();
     let snapshot_bytes = bytes_allocated();
     assert_eq!(snapshot.records.len(), big.records.len());
@@ -137,7 +93,7 @@ fn snapshots_and_alarmed_extraction_never_reclone_the_horizon() {
 
     let window = scan_window(4, 2_000);
     let alarm = Alarm::new(0, "kl", window.range);
-    reset_counters();
+    reset_bytes_allocated();
     let reports = ce.push_window(window, &[EnsembleAlarm::solo(alarm)]);
     let extract_bytes = bytes_allocated();
     assert_eq!(reports.len(), 1, "the scan window must produce a report");

@@ -2,7 +2,7 @@
 //! pipeline (`--features fault-inject`).
 //!
 //! Every scenario here replays a fixed corpus against an armed
-//! [`FaultPlan`] and asserts three things the supervision layer
+//! [`FaultPlan`] and asserts four things the supervision layer
 //! promises:
 //!
 //! 1. **bounded-time completion** — a faulted run finishes; it never
@@ -10,7 +10,9 @@
 //! 2. **exact accounting** — caught panics, restarts, failovers, shed
 //!    records and quarantined windows land on the `fault.*` /
 //!    `degraded.*` counters with the exact planned counts;
-//! 3. **fault-free transparency** — with the feature compiled in but
+//! 3. **no deadlock behind the window-bounded control channel** — a
+//!    fault that strikes while that channel is full still terminates;
+//! 4. **fault-free transparency** — with the feature compiled in but
 //!    nothing armed, output stays bit-identical across every
 //!    (telemetry × detector_workers × extraction_workers) mode.
 
@@ -169,6 +171,90 @@ fn shard_death_ends_the_run_with_a_terminal_fault_notice() {
         1,
         "exactly one notice for one dead shard"
     );
+}
+
+#[test]
+fn shard_death_and_quarantine_terminate_behind_a_full_control_channel() {
+    // A storm: every window alarms and the control thread is the slow
+    // stage, so the window-bounded control channel and extraction queue
+    // stay full and every shard spends the run blocked on the hand-off.
+    // A shard that dies there (its fault message queues behind the
+    // backlog) and a window quarantined while later ones wait behind it
+    // must still end the run, in order, with exact accounting.
+    struct SlowAlwaysAlarm(u64);
+    impl anomex_detect::detector::Detector for SlowAlwaysAlarm {
+        fn name(&self) -> &str {
+            "always"
+        }
+        fn interval_ms(&self) -> u64 {
+            WIDTH_MS
+        }
+        fn push(
+            &mut self,
+            stat: &anomex_detect::interval::IntervalStat,
+        ) -> Vec<anomex_detect::alarm::Alarm> {
+            thread::sleep(Duration::from_millis(3));
+            self.0 += 1;
+            vec![anomex_detect::alarm::Alarm::new(self.0, "always", stat.range)]
+        }
+    }
+    const STORM_WINDOWS: u64 = 40;
+    let records: Vec<FlowRecord> = (0..STORM_WINDOWS * 400)
+        .map(|i| {
+            FlowRecord::builder()
+                .time(i * (WIDTH_MS / 400), i * (WIDTH_MS / 400) + 1)
+                .src("10.3.0.99".parse().unwrap(), 1_024 + (i % 97) as u16)
+                .dst("172.16.5.5".parse().unwrap(), (i % 400) as u16)
+                .volume(1, 44)
+                .build()
+        })
+        .collect();
+    let mut detectors = DetectorRegistry::new();
+    detectors.register("always", WIDTH_MS, || Box::new(SlowAlwaysAlarm(0)));
+    // Extraction attempts 5 and 6 are window 4's first try and its
+    // retry: two strikes, quarantined. Shard 1 dies at its 12th batch,
+    // mid-storm.
+    let plan = FaultPlan::new()
+        .once(FaultSite::ExtractPanic, 5)
+        .once(FaultSite::ExtractPanic, 6)
+        .once(FaultSite::ShardPanic(1), 12);
+    let config = StreamConfig {
+        shards: 2,
+        span: Some(TimeRange::new(0, STORM_WINDOWS * WIDTH_MS)),
+        detectors,
+        extraction_workers: 1,
+        faults: plan,
+        ..StreamConfig::default()
+    };
+    let (stats, received) = run_bounded(config, records);
+
+    assert_eq!(stats.health.shard_deaths, 1);
+    assert_eq!(stats.health.quarantined_windows, 1);
+    assert_eq!(stats.health.worker_panics, 3, "two extraction panics and the shard");
+    assert_eq!(stats.health.extraction_restarts, 2);
+    assert_eq!(stats.health.extraction_failovers, 0);
+    assert_eq!(stats.windows, STORM_WINDOWS, "the surviving shard still closes every window");
+    assert_eq!(stats.alarms, STORM_WINDOWS);
+    assert_eq!(stats.reports_dropped, 0);
+    // One report per window — its alarm, or window 4's quarantine
+    // notice in its place — then the terminal notice, last.
+    assert_eq!(received.len() as u64, STORM_WINDOWS + 1);
+    assert_eq!(stats.reports, STORM_WINDOWS + 1);
+    for (index, report) in received[..STORM_WINDOWS as usize].iter().enumerate() {
+        let from_ms = index as u64 * WIDTH_MS;
+        match report {
+            StreamReport::Alarm(alarm) => assert_eq!(alarm.alarm.window.from_ms, from_ms),
+            StreamReport::Fault(notice) => {
+                assert_eq!(index, 4, "only window 4 is quarantined");
+                assert_eq!(notice.kind, FaultKind::WindowQuarantined);
+                assert_eq!(notice.window.map(|w| w.from_ms), Some(from_ms));
+            }
+        }
+    }
+    assert!(received[4].is_fault());
+    let last = received.last().and_then(StreamReport::as_fault).expect("terminal notice is last");
+    assert_eq!(last.kind, FaultKind::ShardDead);
+    assert!(last.terminal);
 }
 
 #[test]
