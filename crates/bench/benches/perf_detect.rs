@@ -13,50 +13,54 @@
 //! `cargo test --benches` does — runs a small smoke version, writing
 //! the gitignored `BENCH_detect_smoke.json` instead.
 
+use std::net::Ipv4Addr;
 use std::time::Instant;
 
-use anomex_detect::interval::IntervalStat;
+use anomex_detect::interval::{IntervalStat, SummarySpec};
 use anomex_detect::kl::{KlConfig, KlOnline};
 use anomex_detect::pca::{PcaConfig, PcaMode, PcaSliding};
 use anomex_detect::threshold::ThresholdMode;
+use anomex_flow::record::FlowRecord;
 use anomex_flow::sampling::Xoshiro256;
 use anomex_flow::store::TimeRange;
 use anomex_stream::prelude::{DetectorRegistry, DetectorSpec};
+use anomex_stream::window::ClosedWindow;
 use criterion::{black_box, summarize, Stats};
 use serde::Value;
 
 const WIDTH_MS: u64 = 60_000;
 
-/// Deterministic synthetic interval summaries: enough distribution
-/// structure that histograms and entropies do real work, light enough
-/// that the model update dominates the measurement.
-fn synth_series(n: usize, seed: u64) -> Vec<IntervalStat> {
+/// Deterministic synthetic closed windows with full summaries: enough
+/// distribution structure that histograms and entropies do real work,
+/// light enough that the model update dominates the measurement.
+fn synth_series(n: usize, seed: u64) -> Vec<ClosedWindow> {
     let mut rng = Xoshiro256::seeded(seed);
     (0..n)
         .map(|t| {
             let range = TimeRange::window_at(t as u64, 0, WIDTH_MS);
-            let mut stat = IntervalStat::empty(range);
-            stat.flows = 180 + rng.next_below(60);
-            stat.packets = stat.flows * (2 + rng.next_below(5));
-            stat.bytes = stat.packets * (400 + rng.next_below(800));
-            for dist in &mut stat.dists {
-                for _ in 0..64 {
-                    dist.add(rng.next_below(4_096) as u32, 1 + rng.next_below(40));
-                }
-            }
-            stat
+            let flows = 180 + rng.next_below(60);
+            let packets = 2 + rng.next_below(5);
+            let bytes = packets * (400 + rng.next_below(800));
+            let records: Vec<FlowRecord> = (0..flows)
+                .map(|i| {
+                    let mut value = || rng.next_below(4_096);
+                    FlowRecord::builder()
+                        .time(range.from_ms + i, range.from_ms + i + 1)
+                        .src(Ipv4Addr::from(0x0A00_0000 + value() as u32), value() as u16)
+                        .dst(Ipv4Addr::from(0xAC10_0000 + value() as u32), value() as u16)
+                        .volume(packets, bytes)
+                        .build()
+                })
+                .collect();
+            let stat = IntervalStat::from_records(range, SummarySpec::FULL, &records);
+            ClosedWindow { index: t as u64, range, stat, records: records.into() }
         })
         .collect()
 }
 
 /// Steady-state per-interval cost: cycle `chunk` pushes per sample,
 /// `reps` samples, persistent detector state.
-fn per_interval_ns(
-    mut push: impl FnMut(&IntervalStat),
-    series: &[IntervalStat],
-    chunk: usize,
-    reps: usize,
-) -> Stats {
+fn per_interval_ns<T>(mut push: impl FnMut(&T), series: &[T], chunk: usize, reps: usize) -> Stats {
     let mut samples = Vec::with_capacity(reps);
     let mut idx = 0usize;
     for _ in 0..reps {
@@ -99,7 +103,8 @@ fn main() {
     let test_mode = args.iter().any(|a| a == "--test") || !args.iter().any(|a| a == "--bench");
     let (chunk, reps, slow_chunk, slow_reps) =
         if test_mode { (64, 4, 8, 2) } else { (256, 12, 16, 6) };
-    let series = synth_series(512, 0xDE7EC7);
+    let windows = synth_series(512, 0xDE7EC7);
+    let series: Vec<IntervalStat> = windows.iter().map(|w| w.stat.clone()).collect();
 
     print!("{}", anomex_bench::fmt::banner("P4: detection engine (ns per interval)"));
 
@@ -133,7 +138,8 @@ fn main() {
     // --- Ensemble overhead: KL alone vs KL + PCA in one bank. ---------
     let solo = DetectorRegistry::kl(kl_config);
     let mut solo_bank = solo.build_bank();
-    let solo_stats = per_interval_ns(|s| drop(black_box(solo_bank.push(s))), &series, chunk, reps);
+    let solo_stats =
+        per_interval_ns(|w| drop(black_box(solo_bank.push_window(w))), &windows, chunk, reps);
     rows.push(row("bank/kl", &solo_stats));
     results.push(json_entry("bank/kl", &solo_stats));
 
@@ -142,7 +148,8 @@ fn main() {
         DetectorSpec::Pca(pca_config, 64),
     ]);
     let mut duo_bank = duo.build_bank();
-    let duo_stats = per_interval_ns(|s| drop(black_box(duo_bank.push(s))), &series, chunk, reps);
+    let duo_stats =
+        per_interval_ns(|w| drop(black_box(duo_bank.push_window(w))), &windows, chunk, reps);
     rows.push(row("bank/kl+pca", &duo_stats));
     results.push(json_entry("bank/kl+pca", &duo_stats));
     let ensemble_overhead = duo_stats.median / solo_stats.median.max(1.0);

@@ -74,7 +74,7 @@ pub fn candidates_from_slice(
 }
 
 /// Select candidates from any in-memory record sequence — segmented
-/// window storage (`Arc<[FlowRecord]>` runs chained in window order)
+/// window storage (`Arc`-shared record runs chained in window order)
 /// selects identically to one contiguous slice without ever
 /// concatenating the segments.
 pub fn candidates_from_iter<'a, I>(

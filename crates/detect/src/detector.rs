@@ -16,8 +16,28 @@
 //! "can be integrated with any anomaly detection system" premise as a
 //! compiler-checked interface.
 
+use anomex_flow::record::FlowRecord;
+
 use crate::alarm::Alarm;
 use crate::interval::{IntervalSeries, IntervalStat};
+
+/// What a detector reads of each interval summary — the declaration the
+/// streaming pipeline derives its per-record work from
+/// ([`SummarySpec::covering`](crate::interval::SummarySpec::covering)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reads {
+    /// Volume totals and per-feature flow counts hashed into
+    /// `1 << bins_log2` bins ([`IntervalStat::bin_counts`]). Exact values
+    /// are looked up only for an alarm, from the records handed to
+    /// [`Detector::push_with_records`].
+    Bins {
+        /// log2 of the bin count the detector histograms at.
+        bins_log2: u8,
+    },
+    /// Everything, including the exact per-feature value distributions
+    /// ([`IntervalStat::dists`]).
+    Exact,
+}
 
 /// One incremental anomaly detector: intervals in, alarms out.
 ///
@@ -34,9 +54,31 @@ pub trait Detector: Send {
     /// The detection-interval width this state expects, milliseconds.
     fn interval_ms(&self) -> u64;
 
+    /// What this detector reads of each summary. The default,
+    /// [`Reads::Exact`], hands it every part of the summary; a detector
+    /// declaring [`Reads::Bins`] may receive summaries without exact
+    /// distributions, and the pipeline then skips building them.
+    fn reads(&self) -> Reads {
+        Reads::Exact
+    }
+
     /// Feed the next closed interval; returns the alarms it raised
     /// (usually zero or one).
     fn push(&mut self, stat: &IntervalStat) -> Vec<Alarm>;
+
+    /// [`push`](Detector::push) with the interval's records alongside,
+    /// as the contiguous segments they are stored in, for a detector
+    /// that reads only bins and must resolve an alarm's exact values
+    /// without the summary's exact distributions. The default ignores
+    /// the records.
+    fn push_with_records(
+        &mut self,
+        stat: &IntervalStat,
+        records: &mut dyn Iterator<Item = &[FlowRecord]>,
+    ) -> Vec<Alarm> {
+        let _ = records;
+        self.push(stat)
+    }
 
     /// Batch detection as a driver over the incremental state: feed
     /// every interval of `series` in order, collect every alarm.
@@ -98,5 +140,6 @@ mod tests {
         let boxed: Box<dyn Detector + Send> = Box::new(FlowCountDetector { limit: 1, next_id: 0 });
         assert_eq!(boxed.name(), "flow-count");
         assert_eq!(boxed.interval_ms(), 1_000);
+        assert_eq!(boxed.reads(), Reads::Exact, "an undeclared detector reads everything");
     }
 }

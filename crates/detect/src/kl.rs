@@ -4,20 +4,28 @@
 //! detector [3] using the Kullback-Leibler (KL) distance").
 //!
 //! Per feature and per interval, flow counts are hashed into a fixed
-//! number of histogram bins. The current interval's histogram is compared
-//! to a baseline averaged over a sliding window of preceding intervals;
-//! the KL distance time series gets an adaptive threshold
-//! (mean + `sigma` · std over the training window). On alarm, the bins
-//! with the largest positive KL contribution are traced back to the
-//! concrete feature values inside them — the alarm's meta-data.
+//! number of histogram bins — the summary's bins, read directly
+//! ([`Reads::Bins`]), never an exact value→count map. The current
+//! interval's histogram is compared to a baseline averaged over a
+//! sliding window of preceding intervals; the KL distance time series
+//! gets an adaptive threshold (mean + `sigma` · std over the training
+//! window). On alarm, the bins with the largest positive KL
+//! contribution are traced back to the concrete feature values inside
+//! them — the alarm's meta-data — from the summary's exact
+//! distributions when it carries them, else from one pass over the
+//! interval's records.
+//!
+//! Histograms are integer bin counts converted to `f64`, and integer
+//! sums are exact in `f64`: the same records give bit-identical scores
+//! however they were split into shards or in which order they arrived.
 
 use anomex_flow::feature::{Feature, FeatureItem, FeatureValue};
 use anomex_flow::record::FlowRecord;
 use anomex_flow::store::TimeRange;
 
 use crate::alarm::Alarm;
-use crate::detector::Detector;
-use crate::interval::{IntervalSeries, IntervalStat, ValueDist};
+use crate::detector::{Detector, Reads};
+use crate::interval::{bin_of, mining_raw, IntervalSeries, IntervalStat, ValueDist, MAX_BINS_LOG2};
 use crate::threshold::{ThresholdMode, ThresholdState};
 
 /// KL detector configuration.
@@ -80,7 +88,7 @@ pub struct KlScore {
 impl KlDetector {
     /// Detector with the given configuration.
     pub fn new(config: KlConfig) -> KlDetector {
-        assert!(config.bins_log2 >= 2 && config.bins_log2 <= 16, "bins_log2 out of range");
+        assert!((2..=MAX_BINS_LOG2).contains(&config.bins_log2), "bins_log2 out of range");
         assert!(config.window >= 1, "baseline window must be >= 1");
         KlDetector { config, next_id: 0 }
     }
@@ -130,7 +138,6 @@ impl KlDetector {
 #[derive(Debug, Clone)]
 pub struct KlOnline {
     config: KlConfig,
-    bins: usize,
     /// Histograms of up to `config.window` preceding intervals.
     recent: std::collections::VecDeque<[Vec<f64>; 4]>,
     /// Adaptive-threshold state over trailing un-alarmed KL values, per
@@ -149,11 +156,10 @@ impl KlOnline {
 
     /// Fresh online state whose first alarm takes id `next_id`.
     pub fn with_start_id(config: KlConfig, next_id: u64) -> KlOnline {
-        assert!(config.bins_log2 >= 2 && config.bins_log2 <= 16, "bins_log2 out of range");
+        assert!((2..=MAX_BINS_LOG2).contains(&config.bins_log2), "bins_log2 out of range");
         assert!(config.window >= 1, "baseline window must be >= 1");
         KlOnline {
             config,
-            bins: 1usize << config.bins_log2,
             recent: std::collections::VecDeque::with_capacity(config.window + 1),
             history: std::array::from_fn(|_| ThresholdState::new(config.threshold)),
             t: 0,
@@ -184,13 +190,31 @@ impl KlOnline {
     /// [`IntervalStat`]s (exactly what [`IntervalSeries::cut`] produces
     /// for quiet intervals), or the adaptive threshold sees a different
     /// history than the batch detector would.
+    ///
+    /// An alarm's hints come from the summary's exact distributions:
+    /// use [`push_with_records`](KlOnline::push_with_records) for a
+    /// summary without them.
     pub fn push(&mut self, stat: &IntervalStat) -> Option<Alarm> {
-        let hist: [Vec<f64>; 4] = [
-            histogram(&stat.dists[0], self.bins),
-            histogram(&stat.dists[1], self.bins),
-            histogram(&stat.dists[2], self.bins),
-            histogram(&stat.dists[3], self.bins),
-        ];
+        self.push_with_records(stat, &mut std::iter::empty())
+    }
+
+    /// [`push`](KlOnline::push) with the interval's records alongside,
+    /// in segments: a summary carrying only bins resolves an alarm's
+    /// hints from one pass over `records`, which must be exactly the
+    /// records the summary counted. Not read at all when nothing alarms
+    /// or the summary carries exact distributions.
+    ///
+    /// # Panics
+    /// Panics when an alarm needs hints, the summary has no exact
+    /// distributions, and `records` does not hold the summary's flows.
+    pub fn push_with_records(
+        &mut self,
+        stat: &IntervalStat,
+        records: &mut dyn Iterator<Item = &[FlowRecord]>,
+    ) -> Option<Alarm> {
+        let bins_log2 = self.config.bins_log2;
+        let hist: [Vec<f64>; 4] =
+            std::array::from_fn(|f| histogram(&stat.bin_counts(f, bins_log2)));
         let baselines: [Vec<f64>; 4] = std::array::from_fn(|f| self.baseline(f));
 
         let result = if self.t < self.config.min_training {
@@ -223,16 +247,19 @@ impl KlOnline {
                 // Meta-data: top contributing values of every flagged
                 // feature. Alarmed intervals do not pollute the threshold
                 // history (shield the baseline from contamination).
+                let max = self.config.hints_per_feature;
+                let bins: Vec<(usize, Vec<usize>)> = flagged
+                    .iter()
+                    .map(|score| {
+                        let f = Feature::MINING.iter().position(|&x| x == score.feature).unwrap();
+                        (f, top_deviating_bins(&hist[f], &baselines[f], max))
+                    })
+                    .collect();
                 let mut hints = Vec::new();
-                for score in &flagged {
-                    let f = Feature::MINING.iter().position(|&x| x == score.feature).unwrap();
-                    hints.extend(top_deviating_values(
-                        &stat.dists[f],
-                        &hist[f],
-                        &baselines[f],
-                        score.feature,
-                        self.config.hints_per_feature,
-                    ));
+                for ((f, _), values) in
+                    bins.iter().zip(values_in_bins(stat, records, &bins, bins_log2))
+                {
+                    hints.extend(heaviest_values(&values, Feature::MINING[*f], max));
                 }
                 let worst = flagged
                     .iter()
@@ -258,7 +285,7 @@ impl KlOnline {
 
     /// Average histogram of the retained preceding intervals.
     fn baseline(&self, feature: usize) -> Vec<f64> {
-        let mut avg = vec![0.0f64; self.bins];
+        let mut avg = vec![0.0f64; 1 << self.config.bins_log2];
         let n = self.recent.len();
         for h in &self.recent {
             for (a, &x) in avg.iter_mut().zip(&h[feature]) {
@@ -283,24 +310,26 @@ impl Detector for KlOnline {
         self.config.interval_ms
     }
 
+    fn reads(&self) -> Reads {
+        Reads::Bins { bins_log2: self.config.bins_log2 }
+    }
+
     fn push(&mut self, stat: &IntervalStat) -> Vec<Alarm> {
         KlOnline::push(self, stat).into_iter().collect()
     }
-}
 
-/// Multiply-shift hash of a feature value into `bins` (power of two).
-#[inline]
-fn bin_of(value: u32, bins: usize) -> usize {
-    let h = value.wrapping_mul(0x9E37_79B1);
-    (h >> (32 - bins.trailing_zeros())) as usize
-}
-
-/// Normalized histogram of a value distribution.
-fn histogram(dist: &ValueDist, bins: usize) -> Vec<f64> {
-    let mut h = vec![0.0f64; bins];
-    for (value, count) in dist.iter() {
-        h[bin_of(value, bins)] += count as f64;
+    fn push_with_records(
+        &mut self,
+        stat: &IntervalStat,
+        records: &mut dyn Iterator<Item = &[FlowRecord]>,
+    ) -> Vec<Alarm> {
+        KlOnline::push_with_records(self, stat, records).into_iter().collect()
     }
+}
+
+/// Normalized histogram of per-bin flow counts.
+fn histogram(counts: &[u64]) -> Vec<f64> {
+    let mut h: Vec<f64> = counts.iter().map(|&c| c as f64).collect();
     let total: f64 = h.iter().sum();
     if total > 0.0 {
         for x in &mut h {
@@ -326,15 +355,8 @@ fn kl_divergence(p: &[f64], q: &[f64]) -> f64 {
     kl.max(0.0)
 }
 
-/// Values of the current interval that land in the bins with the largest
-/// positive KL contribution.
-fn top_deviating_values(
-    dist: &ValueDist,
-    current: &[f64],
-    baseline: &[f64],
-    feature: Feature,
-    max: usize,
-) -> Vec<FeatureItem> {
+/// The `max` bins with the largest positive KL contribution.
+fn top_deviating_bins(current: &[f64], baseline: &[f64], max: usize) -> Vec<usize> {
     let bins = current.len();
     let uniform = 1.0 / bins as f64;
     // Score each bin by its contribution to the divergence.
@@ -351,14 +373,66 @@ fn top_deviating_values(
         .collect();
     contributions.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
     contributions.truncate(max);
+    contributions.into_iter().map(|(b, _)| b).collect()
+}
 
-    let flagged: Vec<usize> = contributions.iter().map(|&(b, _)| b).collect();
-    // Heaviest concrete values inside the flagged bins.
-    let mut candidates: Vec<(u32, u64)> =
-        dist.iter().filter(|&(v, _)| flagged.contains(&bin_of(v, bins))).collect();
-    candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    candidates.truncate(max);
-    candidates
+/// Per `(feature, flagged bins)` entry, the exact `(value, count)`s of
+/// that feature falling in those bins: filtered from the summary's exact
+/// distributions when it carries them, else counted in one pass over
+/// the interval's `records`.
+fn values_in_bins(
+    stat: &IntervalStat,
+    records: &mut dyn Iterator<Item = &[FlowRecord]>,
+    flagged: &[(usize, Vec<usize>)],
+    bins_log2: u8,
+) -> Vec<Vec<(u32, u64)>> {
+    // Flagged-bin membership as one lookup table per flagged feature.
+    let tables: Vec<(usize, Vec<bool>)> = flagged
+        .iter()
+        .map(|(f, bins)| {
+            let mut table = vec![false; 1 << bins_log2];
+            for &b in bins {
+                table[b] = true;
+            }
+            (*f, table)
+        })
+        .collect();
+    if let Some(dists) = stat.dists() {
+        return tables
+            .iter()
+            .map(|(f, table)| {
+                dists[*f].iter().filter(|&(v, _)| table[bin_of(v, bins_log2)]).collect()
+            })
+            .collect();
+    }
+    let mut columns: Vec<Vec<u32>> =
+        flagged.iter().map(|_| Vec::with_capacity(stat.flows as usize)).collect();
+    let mut seen = 0u64;
+    for segment in records {
+        seen += segment.len() as u64;
+        for r in segment {
+            let raw = mining_raw(r);
+            for ((f, table), column) in tables.iter().zip(&mut columns) {
+                if table[bin_of(raw[*f], bins_log2)] {
+                    column.push(raw[*f]);
+                }
+            }
+        }
+    }
+    assert_eq!(
+        seen, stat.flows,
+        "a summary without exact distributions resolves alarm hints from its interval's records"
+    );
+    columns.iter_mut().map(|column| ValueDist::from_values(column).iter().collect()).collect()
+}
+
+/// The `max` heaviest values (ties by value) as meta-data items of
+/// `feature`.
+fn heaviest_values(values: &[(u32, u64)], feature: Feature, max: usize) -> Vec<FeatureItem> {
+    let mut values = values.to_vec();
+    values.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    values.truncate(max);
+    values
         .into_iter()
         .filter_map(|(raw, _)| {
             let value = FeatureValue::from_raw(feature, raw)?;
@@ -558,17 +632,55 @@ mod tests {
         let mut d = ValueDist::new();
         d.add(1, 10);
         d.add(999, 30);
-        let h = histogram(&d, 64);
+        let h = histogram(&d.bin_counts(6));
         assert!((h.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn bin_of_stays_in_range() {
-        for bins_log2 in [2u8, 7, 10] {
-            let bins = 1usize << bins_log2;
+        for bins_log2 in [0u8, 2, 7, 10, MAX_BINS_LOG2] {
             for v in [0u32, 1, 80, 65_535, u32::MAX] {
-                assert!(bin_of(v, bins) < bins);
+                assert!(bin_of(v, bins_log2) < 1 << bins_log2);
             }
+        }
+    }
+
+    #[test]
+    fn hints_from_records_equal_hints_from_exact_distributions() {
+        // Same trace, three summaries of the alarmed interval: the
+        // full one, a bins-only one resolved from its records, and a
+        // bins-only one at a finer resolution than the detector's.
+        let (flows, span) = trace(8, 60_000, true);
+        let config = KlConfig { interval_ms: 60_000, ..KlConfig::default() };
+        let series = IntervalSeries::cut(&flows, span, 60_000);
+        let expected = KlDetector::new(config).detect_series(&series);
+        assert_eq!(expected.len(), 1);
+        for bins_log2 in [7u8, 9] {
+            let spec = crate::interval::SummarySpec { bins_log2, exact: false };
+            let mut online = KlOnline::new(config);
+            let mut alarms = Vec::new();
+            for range in span.intervals(60_000) {
+                let members: Vec<FlowRecord> =
+                    flows.iter().filter(|f| range.contains(f.start_ms)).cloned().collect();
+                let stat = IntervalStat::from_records(range, spec, &members);
+                // Two segments, as a two-shard window holds them.
+                let (a, b) = members.split_at(members.len() / 2);
+                alarms.extend(online.push_with_records(&stat, &mut [a, b].into_iter()));
+            }
+            assert_eq!(alarms, expected, "bins_log2={bins_log2}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "resolves alarm hints from its interval's records")]
+    fn bins_only_alarm_without_records_is_loud() {
+        let (flows, span) = trace(8, 60_000, true);
+        let config = KlConfig { interval_ms: 60_000, ..KlConfig::default() };
+        let spec = crate::interval::SummarySpec { bins_log2: 7, exact: false };
+        let mut online = KlOnline::new(config);
+        for range in span.intervals(60_000) {
+            let members = flows.iter().filter(|f| range.contains(f.start_ms));
+            online.push(&IntervalStat::from_records(range, spec, members));
         }
     }
 

@@ -3,8 +3,9 @@
 //! The two upstream anomaly detectors of the paper's evaluations, plus the
 //! alarm interface the extractor consumes.
 //!
-//! - [`interval`] — traces cut into fixed intervals with per-feature
-//!   value distributions and entropy.
+//! - [`interval`] — traces cut into fixed intervals, each summarized by
+//!   volume totals and per-feature hashed bin counts, plus exact value
+//!   distributions and entropy when a detector reads them.
 //! - [`kl`] — the histogram/Kullback-Leibler detector of Kind et al.
 //!   (IEEE TNSM 2009), used in the paper's SWITCH evaluation.
 //! - [`linalg`] + [`pca`] — the entropy-PCA subspace method of Lakhina
@@ -17,7 +18,8 @@
 //!   data".
 //! - [`detector`] — the unified [`Detector`] trait both incremental
 //!   states implement: intervals in, alarms out, batch detection as a
-//!   thin driver over the same state.
+//!   thin loop over the same state, and a [`Reads`] declaration of
+//!   which parts of a summary the detector needs.
 //! - [`threshold`] — the adaptive-threshold state behind the KL
 //!   detector: exact full-history or O(1) Welford running moments.
 //!
@@ -52,7 +54,6 @@
 
 pub mod alarm;
 pub mod detector;
-pub mod fasthash;
 pub mod interval;
 pub mod kl;
 pub mod linalg;
@@ -62,8 +63,8 @@ pub mod threshold;
 /// One-stop imports for downstream crates.
 pub mod prelude {
     pub use crate::alarm::{Alarm, Severity};
-    pub use crate::detector::Detector;
-    pub use crate::interval::{IntervalSeries, IntervalStat, ValueDist};
+    pub use crate::detector::{Detector, Reads};
+    pub use crate::interval::{IntervalSeries, IntervalStat, SummarySpec, ValueDist};
     pub use crate::kl::{KlConfig, KlDetector, KlOnline, KlScore};
     pub use crate::linalg::{jacobi_eigen, Matrix};
     pub use crate::pca::{PcaConfig, PcaDetector, PcaDiagnostics, PcaMode, PcaSliding, DIMS};

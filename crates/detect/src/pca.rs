@@ -19,7 +19,7 @@ use anomex_flow::store::TimeRange;
 
 use crate::alarm::Alarm;
 use crate::detector::Detector;
-use crate::interval::{IntervalSeries, IntervalStat};
+use crate::interval::{IntervalSeries, IntervalStat, ValueDist};
 use crate::linalg::{jacobi_eigen, Matrix};
 
 /// Number of observation dimensions: 4 entropies + 3 volumes.
@@ -218,12 +218,12 @@ fn deviation_hints(
             break;
         }
         let feature = Feature::MINING[d];
-        let dist = &current.dists[d];
+        let dist = &exact(current)[d];
         let mut scored: Vec<(u32, f64)> = dist
             .iter()
             .map(|(v, c)| {
                 let p_now = c as f64 / dist.total().max(1) as f64;
-                let p_before = baseline.map(|b| b.dists[d].probability(v)).unwrap_or(0.0);
+                let p_before = baseline.map(|b| exact(b)[d].probability(v)).unwrap_or(0.0);
                 (v, p_now - p_before)
             })
             .filter(|&(_, delta)| delta > 0.0)
@@ -575,6 +575,11 @@ impl Detector for PcaSliding {
     fn push(&mut self, stat: &IntervalStat) -> Vec<Alarm> {
         PcaSliding::push(self, stat).into_iter().collect()
     }
+}
+
+/// The exact distributions entropy-PCA reads.
+fn exact(stat: &IntervalStat) -> &[ValueDist; 4] {
+    stat.dists().expect("entropy-PCA reads summaries with exact distributions")
 }
 
 /// Add (`sign = 1.0`) or subtract (`sign = -1.0`) one observation's
@@ -1037,17 +1042,21 @@ mod tests {
             incremental.push(&stat);
             refit.push(&stat);
         }
-        let mut busy = IntervalStat::empty(TimeRange::window_at(12, 0, 60_000));
-        for i in 0..200u32 {
-            busy.add(
-                &FlowRecord::builder()
+        let flows: Vec<FlowRecord> = (0..200u32)
+            .map(|i| {
+                FlowRecord::builder()
                     .time(12 * 60_000 + i as u64, 12 * 60_000 + i as u64 + 10)
                     .src(Ipv4Addr::from(0x0A00_0000 + i), 1_024 + i as u16)
                     .dst(ip("172.16.0.1"), 80)
                     .volume(2, 900)
-                    .build(),
-            );
-        }
+                    .build()
+            })
+            .collect();
+        let busy = IntervalStat::from_records(
+            TimeRange::window_at(12, 0, 60_000),
+            crate::interval::SummarySpec::FULL,
+            &flows,
+        );
         let a = incremental.push(&busy);
         let b = refit.push(&busy);
         assert_eq!(a, None);

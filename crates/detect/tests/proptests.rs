@@ -111,6 +111,78 @@ proptest! {
         }
     }
 
+    /// Summary-first merging: arbitrary records split over 1–4 shards
+    /// merge into exactly the whole interval's summary — totals, bins
+    /// and exact runs — so entropy is bit-identical whatever the split.
+    #[test]
+    fn merged_shard_summaries_equal_the_whole(
+        records in prop::collection::vec(
+            (0u32..64, 0u32..16, 0u16..40, 0u16..40, 1u64..50, 0u8..4),
+            0..300,
+        ),
+        shards in 1usize..=4,
+        bins_log2 in 0u8..=10,
+    ) {
+        let range = TimeRange::new(0, 60_000);
+        let flows: Vec<(FlowRecord, usize)> = records
+            .iter()
+            .enumerate()
+            .map(|(i, &(src, dst, sport, dport, packets, shard))| {
+                let record = FlowRecord::builder()
+                    .time(i as u64, i as u64 + 1)
+                    .src(Ipv4Addr::from(0x0A00_0000 + src), sport)
+                    .dst(Ipv4Addr::from(0xAC10_0000 + dst), dport)
+                    .volume(packets, packets * 64)
+                    .build();
+                (record, usize::from(shard) % shards)
+            })
+            .collect();
+        let spec = SummarySpec { bins_log2, exact: true };
+        let whole = IntervalStat::from_records(range, spec, flows.iter().map(|(r, _)| r));
+        let mut merged = IntervalStat::with_spec(range, spec);
+        for shard in 0..shards {
+            let part = flows.iter().filter(|(_, s)| *s == shard).map(|(r, _)| r);
+            merged.merge(&IntervalStat::from_records(range, spec, part));
+        }
+        prop_assert_eq!(&merged, &whole);
+        let (a, b) = (merged.entropy_vector(), whole.entropy_vector());
+        for f in 0..4 {
+            prop_assert_eq!(a[f].to_bits(), b[f].to_bits(), "feature {} entropy", f);
+        }
+    }
+
+    /// KL's histogram read from the summary's bins equals the histogram
+    /// folded from the exact distribution, at every resolution up to
+    /// the summary's.
+    #[test]
+    fn bin_histograms_equal_exact_histograms(
+        values in prop::collection::vec((any::<u32>(), any::<u32>(), any::<u16>(), any::<u16>()), 0..200),
+        bins_log2 in 0u8..=12,
+    ) {
+        let flows: Vec<FlowRecord> = values
+            .iter()
+            .map(|&(src, dst, sport, dport)| {
+                FlowRecord::builder()
+                    .time(5, 6)
+                    .src(Ipv4Addr::from(src), sport)
+                    .dst(Ipv4Addr::from(dst), dport)
+                    .volume(1, 64)
+                    .build()
+            })
+            .collect();
+        let stat = IntervalStat::from_records(
+            TimeRange::new(0, 60_000),
+            SummarySpec { bins_log2, exact: true },
+            &flows,
+        );
+        let dists = stat.dists().expect("exact summary");
+        for (f, dist) in dists.iter().enumerate() {
+            for k in 0..=bins_log2 {
+                prop_assert_eq!(stat.bin_counts(f, k), dist.bin_counts(k), "feature {} at {} bits", f, k);
+            }
+        }
+    }
+
     /// The interval series conserves flow and packet counts.
     #[test]
     fn series_conserves_volume(

@@ -13,6 +13,10 @@
 //! - [`DetectorRegistry`] — named builders, pre-populated from specs
 //!   and open to [`register`](DetectorRegistry::register)ed custom
 //!   detectors; lives in [`StreamConfig`](crate::pipeline::StreamConfig).
+//!   Its members' [`Reads`] declarations decide what every window's
+//!   summary carries ([`DetectorRegistry::summary_spec`]): a KL-only
+//!   bank counts bins alone, exact distributions are built only when a
+//!   member reads them.
 //! - [`DetectorBank`] — the live ensemble the control thread feeds:
 //!   every closed window goes to every detector, alarms on the same
 //!   window are merged into one [`EnsembleAlarm`] (one extraction per
@@ -29,8 +33,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use anomex_detect::alarm::Alarm;
-use anomex_detect::detector::Detector;
-use anomex_detect::interval::IntervalStat;
+use anomex_detect::detector::{Detector, Reads};
+use anomex_detect::interval::{IntervalStat, SummarySpec};
 use anomex_detect::kl::{KlConfig, KlOnline};
 use anomex_detect::pca::{PcaConfig, PcaSliding};
 use anomex_flow::store::TimeRange;
@@ -39,7 +43,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use serde::{Deserialize, Serialize};
 
 use crate::fault::{restart_backoff, ActiveFaults, FaultSite, Supervision, WorkerPoisoned};
-use crate::window::ClosedWindow;
+use crate::window::{ClosedWindow, WindowRecords};
 
 /// Configuration of one built-in detector slot.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,6 +89,7 @@ type BuildFn = Arc<dyn Fn() -> Box<dyn Detector> + Send + Sync>;
 struct RegistryEntry {
     name: String,
     interval_ms: u64,
+    reads: Reads,
     build: BuildFn,
 }
 
@@ -126,12 +131,15 @@ impl DetectorRegistry {
         registry
     }
 
-    /// Append one built-in detector.
+    /// Append one built-in detector. Its [`Detector::reads`] declaration
+    /// is read from a state built here, as for
+    /// [`register`](DetectorRegistry::register)ed detectors.
     pub fn add_spec(&mut self, spec: DetectorSpec) -> &mut DetectorRegistry {
         let build: BuildFn = Arc::new(move || spec.build());
         self.entries.push(RegistryEntry {
             name: spec.name().to_string(),
             interval_ms: spec.interval_ms(),
+            reads: spec.build().reads(),
             build,
         });
         self
@@ -147,7 +155,8 @@ impl DetectorRegistry {
     /// per pipeline launch to create the incremental state. The name
     /// appears in alarm attribution and per-detector counters; it
     /// should match what the built states report from
-    /// [`Detector::name`].
+    /// [`Detector::name`]. `build` is also called once here, to read
+    /// the detector's [`Detector::reads`] declaration.
     ///
     /// # Panics
     /// Panics when `name` contains `'+'` — that is the merged-alarm
@@ -164,7 +173,8 @@ impl DetectorRegistry {
             !name.contains('+'),
             "detector name '{name}' may not contain '+': it is the ensemble attribution separator"
         );
-        self.entries.push(RegistryEntry { name, interval_ms, build: Arc::new(build) });
+        let reads = build().reads();
+        self.entries.push(RegistryEntry { name, interval_ms, reads, build: Arc::new(build) });
         self
     }
 
@@ -199,6 +209,13 @@ impl DetectorRegistry {
             );
         }
         first
+    }
+
+    /// What every window's summary must carry for this bank: bins at
+    /// the finest resolution a member reads, exact distributions when
+    /// any member reads them (see [`SummarySpec::covering`]).
+    pub fn summary_spec(&self) -> SummarySpec {
+        SummarySpec::covering(self.entries.iter().map(|e| e.reads))
     }
 
     /// Build the live bank the control thread feeds.
@@ -300,15 +317,25 @@ struct BankSlot {
     build: BuildFn,
 }
 
-/// Run one bank member over a window summary: count the window, time
-/// the push, count the alarms. Shared verbatim by the sequential bank
-/// and the pool workers so both paths meter identically.
-fn run_slot(slot: &mut BankSlot, stat: &IntervalStat) -> Vec<Alarm> {
+/// Run one bank member over a window summary and its records: count
+/// the window, time the push, count the alarms. Shared verbatim by the
+/// sequential bank and the pool workers so both paths meter identically.
+fn run_slot(slot: &mut BankSlot, stat: &IntervalStat, records: &WindowRecords) -> Vec<Alarm> {
     slot.instruments.windows.inc();
     let state = &mut slot.state;
-    let alarms = slot.instruments.push_timer.time(|| state.push(stat));
+    let mut segments = records.segments().iter().map(|s| s.as_slice());
+    let alarms = slot.instruments.push_timer.time(|| state.push_with_records(stat, &mut segments));
     slot.instruments.alarms.add(alarms.len() as u64);
     alarms
+}
+
+/// One window as the detector stage receives it: the merged summary
+/// and the records behind it (`Arc` segments, for detectors that
+/// resolve alarm hints from records rather than exact distributions).
+#[derive(Debug)]
+struct DetectInput {
+    stat: IntervalStat,
+    records: WindowRecords,
 }
 
 /// The deterministic cross-detector merge: the merged-alarm id counter
@@ -443,18 +470,26 @@ impl DetectorBank {
         self.supervision = supervision;
     }
 
-    /// Feed one closed window's summary to every detector; returns the
-    /// merged alarms (usually empty or one), in window order.
+    /// Feed one closed window — summary and records — to every
+    /// detector; returns the merged alarms (usually empty or one), in
+    /// window order. A member that reads only bins resolves its alarm
+    /// hints from the window's records.
+    pub fn push_window(&mut self, window: &ClosedWindow) -> Vec<EnsembleAlarm> {
+        self.push_records(&window.stat, &window.records)
+    }
+
+    /// The body of [`push_window`](DetectorBank::push_window), shared
+    /// with the pool's failover path.
     ///
     /// A slot whose push panics contributes no alarms for this window;
     /// its state is rebuilt fresh from the registry builder and the
     /// remaining slots run normally — one bad detector cannot take the
     /// ensemble down.
-    pub fn push(&mut self, stat: &IntervalStat) -> Vec<EnsembleAlarm> {
+    fn push_records(&mut self, stat: &IntervalStat, records: &WindowRecords) -> Vec<EnsembleAlarm> {
         // Concatenate every slot's alarms in bank order, then merge.
         let mut raised: Vec<Alarm> = Vec::new();
         for slot in &mut self.slots {
-            match catch_unwind(AssertUnwindSafe(|| run_slot(slot, stat))) {
+            match catch_unwind(AssertUnwindSafe(|| run_slot(slot, stat, records))) {
                 Ok(alarms) => raised.extend(alarms),
                 Err(_) => {
                     self.supervision.worker_panics.inc();
@@ -464,11 +499,6 @@ impl DetectorBank {
             }
         }
         self.merger.merge_bank_order(raised)
-    }
-
-    /// Feed one closed window; returns the merged alarms it raised.
-    pub fn push_window(&mut self, window: &ClosedWindow) -> Vec<EnsembleAlarm> {
-        self.push(&window.stat)
     }
 
     /// One alarm out of the window's sources; see [`AlarmMerger::merge`].
@@ -486,7 +516,7 @@ impl DetectorBank {
     /// and the pool keeps only shared views.
     ///
     /// `queue_depth` bounds how many windows
-    /// [`dispatch`](DetectorPool::dispatch) may run ahead of
+    /// [`dispatch_window`](DetectorPool::dispatch_window) may run ahead of
     /// [`collect`](DetectorPool::collect) per worker.
     pub fn into_pool(self, workers: usize, queue_depth: usize) -> DetectorPool {
         self.into_pool_supervised(workers, queue_depth, Supervision::standalone())
@@ -555,7 +585,7 @@ type DetectResult = Result<Vec<Vec<Alarm>>, WorkerPoisoned>;
 /// concatenating seat results in seat order always restores bank
 /// order).
 struct Seat {
-    task_tx: Sender<Arc<IntervalStat>>,
+    task_tx: Sender<Arc<DetectInput>>,
     result_rx: Receiver<DetectResult>,
     join: Option<std::thread::JoinHandle<()>>,
     start: usize,
@@ -568,8 +598,8 @@ fn spawn_detect_seat(
     worker: usize,
     capacity: usize,
     faults: Arc<ActiveFaults>,
-) -> (Sender<Arc<IntervalStat>>, Receiver<DetectResult>, std::thread::JoinHandle<()>) {
-    let (task_tx, task_rx) = bounded::<Arc<IntervalStat>>(capacity.max(1));
+) -> (Sender<Arc<DetectInput>>, Receiver<DetectResult>, std::thread::JoinHandle<()>) {
+    let (task_tx, task_rx) = bounded::<Arc<DetectInput>>(capacity.max(1));
     let (result_tx, result_rx) = unbounded::<DetectResult>();
     let join = std::thread::Builder::new()
         .name(format!("anomex-detect-{worker}"))
@@ -588,16 +618,19 @@ fn spawn_detect_seat(
 fn pool_worker(
     mut slots: Vec<BankSlot>,
     worker: usize,
-    tasks: Receiver<Arc<IntervalStat>>,
+    tasks: Receiver<Arc<DetectInput>>,
     results: Sender<DetectResult>,
     faults: Arc<ActiveFaults>,
 ) {
-    while let Ok(stat) = tasks.recv() {
+    while let Ok(input) = tasks.recv() {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if faults.fire(FaultSite::DetectorPanic(worker)) {
                 panic!("fault-inject: detector worker panic");
             }
-            slots.iter_mut().map(|slot| run_slot(slot, &stat)).collect::<Vec<Vec<Alarm>>>()
+            slots
+                .iter_mut()
+                .map(|slot| run_slot(slot, &input.stat, &input.records))
+                .collect::<Vec<Vec<Alarm>>>()
         }));
         match outcome {
             Ok(per_slot) => {
@@ -623,13 +656,14 @@ fn pool_worker(
 /// summary; each worker runs its detectors in slot order; the control
 /// side reassembles the per-slot alarms in bank order and runs the
 /// same deterministic merge the sequential bank runs — so the output
-/// (merged ids included) is bit-identical to [`DetectorBank::push`]
-/// over the same window sequence, whatever the worker scheduling.
+/// (merged ids included) is bit-identical to
+/// [`DetectorBank::push_window`] over the same window sequence, whatever the worker scheduling.
 ///
 /// Deadlock freedom: task channels are bounded (`queue_depth` windows
 /// per worker) but result channels are unbounded, so a worker can
 /// always finish a window it started — a full task queue only ever
-/// blocks [`dispatch`](DetectorPool::dispatch), never a worker.
+/// blocks [`dispatch_window`](DetectorPool::dispatch_window), never a
+/// worker.
 ///
 /// Fault tolerance: each worker runs its windows under
 /// `catch_unwind`. When a seat dies (poison sentinel or disconnected
@@ -657,7 +691,7 @@ pub struct DetectorPool {
     restarts: u32,
     /// Windows dispatched and not yet collected, oldest first. The
     /// recovery path re-feeds this entire backlog to a restarted seat.
-    pending: VecDeque<Arc<IntervalStat>>,
+    pending: VecDeque<Arc<DetectInput>>,
     /// Pre-computed answers produced while replaying the backlog
     /// during failover; [`collect`](DetectorPool::collect) serves these
     /// before touching seats.
@@ -705,8 +739,9 @@ impl DetectorPool {
             .collect()
     }
 
-    /// Broadcast one window summary to every worker without waiting
-    /// for verdicts; pair with [`collect`](DetectorPool::collect).
+    /// Broadcast one closed window — summary plus an `Arc`-segment
+    /// snapshot of its records — to every worker without waiting for
+    /// verdicts; pair with [`collect`](DetectorPool::collect).
     /// Dispatching a run of windows ahead of collecting is what lets
     /// detector pushes overlap the control thread's merge/extract
     /// work. Blocks when a worker is `queue_depth` windows behind.
@@ -715,21 +750,23 @@ impl DetectorPool {
     /// is detected and recovered in [`collect`](DetectorPool::collect),
     /// which re-feeds the backlog (this window included) to the
     /// restarted seat.
-    pub fn dispatch(&mut self, stat: &IntervalStat) {
+    pub fn dispatch_window(&mut self, window: &ClosedWindow) {
         if let Some(bank) = &mut self.inline {
-            let merged = bank.push(stat);
+            let merged = bank.push_window(window);
             self.ready.push_back(merged);
             return;
         }
-        let stat = Arc::new(stat.clone());
-        self.pending.push_back(Arc::clone(&stat));
+        let input =
+            Arc::new(DetectInput { stat: window.stat.clone(), records: window.records.clone() });
+        self.pending.push_back(Arc::clone(&input));
         for seat in &self.seats {
-            let _ = seat.task_tx.send(Arc::clone(&stat));
+            let _ = seat.task_tx.send(Arc::clone(&input));
         }
     }
 
     /// Collect the merged alarms of the *oldest* dispatched window
-    /// (FIFO with [`dispatch`](DetectorPool::dispatch) order).
+    /// (FIFO with [`dispatch_window`](DetectorPool::dispatch_window)
+    /// order).
     ///
     /// When a seat died mid-window, restarts it (bounded by the
     /// supervision budget) and waits for the recomputed verdict; once
@@ -806,8 +843,8 @@ impl DetectorPool {
         let capacity = self.queue_depth_cfg.max(self.pending.len()).max(1);
         let (task_tx, result_rx, join) =
             spawn_detect_seat(chunk, worker, capacity, self.supervision.faults.clone());
-        for stat in &self.pending {
-            let _ = task_tx.send(Arc::clone(stat));
+        for input in &self.pending {
+            let _ = task_tx.send(Arc::clone(input));
         }
         let seat = &mut self.seats[i];
         seat.task_tx = task_tx;
@@ -844,22 +881,17 @@ impl DetectorPool {
             merger: std::mem::take(&mut self.merger),
             supervision: self.supervision.clone(),
         };
-        for stat in self.pending.drain(..) {
-            self.ready.push_back(bank.push(&stat));
+        for input in self.pending.drain(..) {
+            self.ready.push_back(bank.push_records(&input.stat, &input.records));
         }
         self.inline = Some(bank);
     }
 
     /// Dispatch + collect in one call — the drop-in equivalent of
-    /// [`DetectorBank::push`].
-    pub fn push(&mut self, stat: &IntervalStat) -> Vec<EnsembleAlarm> {
-        self.dispatch(stat);
-        self.collect()
-    }
-
-    /// Feed one closed window; returns the merged alarms it raised.
+    /// [`DetectorBank::push_window`].
     pub fn push_window(&mut self, window: &ClosedWindow) -> Vec<EnsembleAlarm> {
-        self.push(&window.stat)
+        self.dispatch_window(window);
+        self.collect()
     }
 
     /// Windows queued to workers and not yet picked up, summed across
@@ -894,53 +926,73 @@ mod tests {
     use anomex_flow::store::TimeRange;
     use std::net::Ipv4Addr;
 
-    fn scan_stat(range: TimeRange, benign: u32, scan: u32) -> IntervalStat {
-        let mut stat = IntervalStat::empty(range);
-        for i in 0..benign {
-            stat.add(
-                &FlowRecord::builder()
+    /// One closed window as the pipeline emits it: `benign` background
+    /// flows plus a `scan`-port scan, summarized as `registry` asks.
+    fn scan_window(
+        registry: &DetectorRegistry,
+        index: u64,
+        benign: u32,
+        scan: u32,
+    ) -> ClosedWindow {
+        let range = TimeRange::new(index * 1_000, (index + 1) * 1_000);
+        let mut records: Vec<FlowRecord> = (0..benign)
+            .map(|i| {
+                FlowRecord::builder()
                     .time(range.from_ms + i as u64, range.from_ms + i as u64 + 5)
                     .src(Ipv4Addr::from(0x0A00_0000 + (i % 30)), 1_024 + (i % 400) as u16)
                     .dst(Ipv4Addr::from(0xAC10_0000 + (i % 5)), 80)
                     .volume(2, 1_000)
-                    .build(),
-            );
-        }
-        for p in 1..=scan {
-            stat.add(
-                &FlowRecord::builder()
-                    .time(range.from_ms + p as u64 % 1_000, range.from_ms + p as u64 % 1_000 + 1)
-                    .src("10.66.66.66".parse().unwrap(), 55_548)
-                    .dst("172.16.0.99".parse().unwrap(), p as u16)
-                    .volume(1, 44)
-                    .build(),
-            );
-        }
-        stat
+                    .build()
+            })
+            .collect();
+        records.extend((1..=scan).map(|p| {
+            FlowRecord::builder()
+                .time(range.from_ms + p as u64 % 1_000, range.from_ms + p as u64 % 1_000 + 1)
+                .src("10.66.66.66".parse().unwrap(), 55_548)
+                .dst("172.16.0.99".parse().unwrap(), p as u16)
+                .volume(1, 44)
+                .build()
+        }));
+        let stat = IntervalStat::from_records(range, registry.summary_spec(), &records);
+        ClosedWindow { index, range, stat, records: records.into() }
     }
 
-    fn feed_stats(windows: u64, scan_in_last: bool) -> Vec<IntervalStat> {
+    fn feed_windows(
+        registry: &DetectorRegistry,
+        windows: u64,
+        scan_in_last: bool,
+    ) -> Vec<ClosedWindow> {
         (0..windows)
             .map(|t| {
-                let range = TimeRange::new(t * 1_000, (t + 1) * 1_000);
                 let scan = if scan_in_last && t == windows - 1 { 1_200 } else { 0 };
                 // Wobble the benign load so PCA's training variance is
                 // non-degenerate.
                 let benign = 150 + (t % 4) as u32 * 13;
-                scan_stat(range, benign, scan)
+                scan_window(registry, t, benign, scan)
             })
             .collect()
     }
 
-    fn feed(bank: &mut DetectorBank, windows: u64, scan_in_last: bool) -> Vec<EnsembleAlarm> {
-        feed_stats(windows, scan_in_last).iter().flat_map(|stat| bank.push(stat)).collect()
+    /// Feed `registry`'s `bank` `windows` windows.
+    fn feed(
+        registry: &DetectorRegistry,
+        bank: &mut DetectorBank,
+        windows: u64,
+        scan_in_last: bool,
+    ) -> Vec<EnsembleAlarm> {
+        feed_windows(registry, windows, scan_in_last)
+            .iter()
+            .flat_map(|w| bank.push_window(w))
+            .collect()
     }
 
     #[test]
     fn single_kl_bank_alarms_on_scan_window() {
         let config = KlConfig { interval_ms: 1_000, ..KlConfig::default() };
-        let mut bank = DetectorRegistry::kl(config).build_bank();
-        let alarms = feed(&mut bank, 8, true);
+        let registry = DetectorRegistry::kl(config);
+        assert!(!registry.summary_spec().exact, "KL alone counts bins: hints come from records");
+        let mut bank = registry.build_bank();
+        let alarms = feed(&registry, &mut bank, 8, true);
         assert_eq!(alarms.len(), 1);
         assert_eq!(alarms[0].alarm.window.from_ms, 7_000);
         assert_eq!(alarms[0].alarm.detector, "kl");
@@ -962,7 +1014,7 @@ mod tests {
         assert_eq!(registry.interval_ms(), 1_000);
 
         let mut bank = registry.build_bank();
-        let alarms = feed(&mut bank, 12, true);
+        let alarms = feed(&registry, &mut bank, 12, true);
         assert_eq!(alarms.len(), 1, "one merged alarm per flagged window");
         let ensemble = &alarms[0];
         assert_eq!(ensemble.sources.len(), 2, "both detectors must flag the scan");
@@ -1007,7 +1059,7 @@ mod tests {
         let mut registry = DetectorRegistry::new();
         registry.register("every-window", 1_000, || Box::new(EveryWindow { next_id: 0 }));
         let mut bank = registry.build_bank();
-        let merged = feed(&mut bank, 3, false);
+        let merged = feed(&registry, &mut bank, 3, false);
         assert_eq!(merged.len(), 3);
         assert_eq!(merged[2].alarm.id, 2);
         assert_eq!(bank.counters()[0].alarms, 3);
@@ -1077,20 +1129,20 @@ mod tests {
         registry.register("chatty", 1_000, || Box::new(Chatty { next_id: 0 }));
 
         let mut sequential = registry.build_bank();
-        let expected = feed(&mut sequential, 12, true);
+        let expected = feed(&registry, &mut sequential, 12, true);
         assert!(expected.len() >= 12, "chatty must alarm every window");
         assert!(
             expected.iter().any(|e| e.sources.len() >= 2),
             "scan window must exercise a cross-detector merge"
         );
 
-        let stats = feed_stats(12, true);
+        let windows = feed_windows(&registry, 12, true);
         for workers in [1usize, 2, 3, 8] {
             let mut pool = registry.build_bank().into_pool(workers, 4);
             assert_eq!(pool.workers(), workers.min(3), "pool clamps to the detector count");
             assert_eq!(pool.len(), 3);
             let merged: Vec<EnsembleAlarm> =
-                stats.iter().flat_map(|stat| pool.push(stat)).collect();
+                windows.iter().flat_map(|w| pool.push_window(w)).collect();
             assert_eq!(merged, expected, "{workers} workers diverged from sequential");
             assert_eq!(pool.counters(), sequential.counters(), "{workers} workers");
         }
@@ -1099,23 +1151,23 @@ mod tests {
     /// Dispatch-ahead (the pipelined mode the control loop uses on a
     /// batch of ready windows) must keep FIFO window order: collect()
     /// returns windows in dispatch order with the same id sequence as
-    /// back-to-back push() calls.
+    /// back-to-back push_window() calls.
     #[test]
     fn pool_dispatch_ahead_preserves_window_order() {
         let mut registry = DetectorRegistry::new();
         registry.register("chatty", 1_000, || Box::new(Chatty { next_id: 0 }));
-        let stats = feed_stats(6, false);
+        let windows = feed_windows(&registry, 6, false);
 
         let mut reference = registry.build_bank();
         let expected: Vec<EnsembleAlarm> =
-            stats.iter().flat_map(|stat| reference.push(stat)).collect();
+            windows.iter().flat_map(|w| reference.push_window(w)).collect();
 
-        let mut pool = registry.build_bank().into_pool(2, stats.len());
-        for stat in &stats {
-            pool.dispatch(stat);
+        let mut pool = registry.build_bank().into_pool(2, windows.len());
+        for window in &windows {
+            pool.dispatch_window(window);
         }
         let mut merged = Vec::new();
-        for _ in &stats {
+        for _ in &windows {
             merged.extend(pool.collect());
         }
         assert_eq!(merged, expected);
@@ -1125,6 +1177,20 @@ mod tests {
             assert_eq!(ensemble.alarm.window.from_ms, i as u64 * 1_000);
         }
         assert_eq!(pool.queue_depth(), 0, "everything collected");
+    }
+
+    #[test]
+    fn summary_spec_follows_member_declarations() {
+        let kl = KlConfig { interval_ms: 1_000, ..KlConfig::default() };
+        let pca = PcaConfig { interval_ms: 1_000, ..PcaConfig::default() };
+        let bins_only = SummarySpec { bins_log2: kl.bins_log2, exact: false };
+        assert_eq!(DetectorRegistry::kl(kl).summary_spec(), bins_only);
+        let ensemble =
+            DetectorRegistry::from_specs(&[DetectorSpec::Kl(kl), DetectorSpec::Pca(pca, 12)]);
+        assert_eq!(ensemble.summary_spec(), SummarySpec { exact: true, ..bins_only });
+        let mut custom = DetectorRegistry::kl(kl);
+        custom.register("chatty", 1_000, || Box::new(Chatty { next_id: 0 }));
+        assert!(custom.summary_spec().exact, "an undeclared detector reads exact distributions");
     }
 
     #[test]
@@ -1194,7 +1260,7 @@ mod tests {
         let mut bank = registry.build_bank();
         let sup = Supervision::standalone();
         bank.supervise(sup.clone());
-        let merged = feed(&mut bank, 5, false);
+        let merged = feed(&registry, &mut bank, 5, false);
 
         assert_eq!(sup.worker_panics.get(), 1, "exactly one slot panic caught");
         assert_eq!(sup.restarts.get(), 1, "the slot was rebuilt");
@@ -1233,14 +1299,25 @@ mod injected {
         }
     }
 
-    fn stats(windows: u64) -> Vec<IntervalStat> {
-        (0..windows)
+    fn registry() -> DetectorRegistry {
+        let kl = KlConfig { interval_ms: 1_000, ..KlConfig::default() };
+        DetectorRegistry::from_specs(&[
+            DetectorSpec::Kl(kl),
+            DetectorSpec::Pca(
+                anomex_detect::pca::PcaConfig { interval_ms: 1_000, ..Default::default() },
+                12,
+            ),
+        ])
+    }
+
+    fn windows(count: u64) -> Vec<ClosedWindow> {
+        let spec = registry().summary_spec();
+        (0..count)
             .map(|t| {
                 let range = TimeRange::new(t * 1_000, (t + 1) * 1_000);
-                let mut stat = IntervalStat::empty(range);
-                for i in 0..(120 + (t % 3) as u32 * 7) {
-                    stat.add(
-                        &FlowRecord::builder()
+                let records: Vec<FlowRecord> = (0..(120 + (t % 3) as u32 * 7))
+                    .map(|i| {
+                        FlowRecord::builder()
                             .time(range.from_ms + i as u64, range.from_ms + i as u64 + 5)
                             .src(
                                 std::net::Ipv4Addr::from(0x0A00_0000 + (i % 30)),
@@ -1248,23 +1325,17 @@ mod injected {
                             )
                             .dst(std::net::Ipv4Addr::from(0xAC10_0000 + (i % 5)), 80)
                             .volume(2, 1_000)
-                            .build(),
-                    );
-                }
-                stat
+                            .build()
+                    })
+                    .collect();
+                let stat = IntervalStat::from_records(range, spec, &records);
+                ClosedWindow { index: t, range, stat, records: records.into() }
             })
             .collect()
     }
 
     fn pool_with(plan: &FaultPlan, workers: usize) -> (DetectorPool, Supervision) {
-        let kl = KlConfig { interval_ms: 1_000, ..KlConfig::default() };
-        let registry = DetectorRegistry::from_specs(&[
-            DetectorSpec::Kl(kl),
-            DetectorSpec::Pca(
-                anomex_detect::pca::PcaConfig { interval_ms: 1_000, ..Default::default() },
-                12,
-            ),
-        ]);
+        let registry = registry();
         let sup = armed(plan);
         let pool = registry.build_bank().into_pool_supervised(workers, 4, sup.clone());
         (pool, sup)
@@ -1277,7 +1348,8 @@ mod injected {
         let plan = FaultPlan::new().once(FaultSite::DetectorPanic(0), 2);
         let (mut pool, sup) = pool_with(&plan, 2);
         assert_eq!(pool.workers(), 2);
-        let merged: Vec<Vec<EnsembleAlarm>> = stats(6).iter().map(|stat| pool.push(stat)).collect();
+        let merged: Vec<Vec<EnsembleAlarm>> =
+            windows(6).iter().map(|w| pool.push_window(w)).collect();
         assert_eq!(merged.len(), 6, "every dispatched window collected");
         assert_eq!(sup.worker_panics.get(), 1);
         assert_eq!(sup.restarts.get(), 1);
@@ -1293,7 +1365,8 @@ mod injected {
     fn exhausted_seat_budget_fails_over_to_inline_bank() {
         let plan = FaultPlan::new().repeat_from(FaultSite::DetectorPanic(0), 1);
         let (mut pool, sup) = pool_with(&plan, 2);
-        let merged: Vec<Vec<EnsembleAlarm>> = stats(6).iter().map(|stat| pool.push(stat)).collect();
+        let merged: Vec<Vec<EnsembleAlarm>> =
+            windows(6).iter().map(|w| pool.push_window(w)).collect();
         assert_eq!(merged.len(), 6, "failover replays the backlog; no window is lost");
         assert!(pool.is_degraded());
         assert_eq!(pool.workers(), 0, "all seats torn down");
@@ -1302,7 +1375,7 @@ mod injected {
         assert_eq!(sup.restarts.get(), MAX_POOL_RESTARTS as u64);
         assert_eq!(sup.worker_panics.get(), (MAX_POOL_RESTARTS + 1) as u64);
         // Dispatch keeps working inline after failover.
-        let more = pool.push(&stats(7)[6]);
+        let more = pool.push_window(&windows(7)[6]);
         let _ = more;
     }
 }

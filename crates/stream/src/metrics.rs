@@ -76,7 +76,7 @@ def!(
     Histogram,
     "messages",
     "ingest",
-    "Shard ring occupancy sampled send-side at each flush."
+    "Shard ring occupancy sampled send-side at each flush. Under closed-loop load the producer outruns the shards and the ring runs half-full to full (buckets are powers of two, so a p99 of 1023 means at least 1% of flushes saw 512-1023 queued messages, not a full ring); that is backpressure, not the queueing an open-loop (paced) run sees — read p50/p90 with it."
 );
 def!(
     CHANNEL_CAPACITY,

@@ -4,9 +4,12 @@
 //! ```text
 //! IngestHandle(s) ──(bounded ring, by flow-key shard, batched
 //!       │            send_many/recv_many)──> shard worker 0..N   [ShardWindows]
+//!       │                                     per record: totals + 4 bin counts
+//!       │                                     at close: sorted runs, if read
 //!       └── shared watermark (min over live handles) ──────────>│ closed shard windows
 //!                                                               v
 //!                                            control thread  [WindowManager]
+//!                                      bin vector add + linear run merge
 //!                                                               │ gapless ClosedWindows
 //!                                                               v
 //!                                               [DetectorBank] ─> merged EnsembleAlarms
@@ -15,6 +18,13 @@
 //!                                                               v
 //!                                               subscriber Receiver<StreamReport>
 //! ```
+//!
+//! What a window's summary carries follows from the registered
+//! detectors' declarations ([`DetectorRegistry::summary_spec`]): with KL
+//! alone, the per-record work is four bin increments and exact
+//! distributions are never built; a detector reading them (entropy-PCA,
+//! or any custom detector that does not declare otherwise) makes every
+//! shard sort its window's feature columns at close.
 //!
 //! Both hops in front of the control thread are bounded, each in its
 //! own unit. The ingest rings carry *records*
@@ -244,13 +254,18 @@ pub struct ShardShed {
 }
 
 impl StreamConfig {
-    /// The tumbling-window grid the configuration implies.
+    /// The tumbling-window grid the configuration implies, with the
+    /// window summaries the detector bank reads.
     ///
     /// # Panics
     /// Panics when the detector registry is empty or its entries
     /// disagree on the detection interval.
     pub fn window_config(&self) -> WindowConfig {
-        WindowConfig { width_ms: self.detectors.interval_ms(), span: self.span }
+        WindowConfig {
+            width_ms: self.detectors.interval_ms(),
+            span: self.span,
+            summary: self.detectors.summary_spec(),
+        }
     }
 }
 
@@ -657,7 +672,7 @@ fn control_loop(
             // first verdict: the workers chew on windows w+1.. while
             // the control thread merges and mines window w.
             for window in &closed {
-                pool.dispatch(&window.stat);
+                pool.dispatch_window(window);
             }
             if metrics.timing() {
                 metrics.detect_pool_queue_depth.set(pool.queue_depth() as u64);
@@ -818,6 +833,7 @@ fn control_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anomex_detect::alarm::Alarm;
     use anomex_detect::kl::KlConfig;
     use anomex_flow::v5;
     use std::net::Ipv4Addr;
@@ -975,6 +991,96 @@ mod tests {
             received.iter().map(|r| r.alarm().unwrap().window.from_ms).collect();
         windows.dedup();
         assert_eq!(windows.len(), received.len(), "duplicate window reports: {windows:?}");
+    }
+
+    /// Records, per window, whether the summary it was handed carried
+    /// exact distributions; declares that it reads bins only, so it
+    /// observes a bank without changing what the bank's windows carry.
+    struct BinsSpy(Arc<std::sync::Mutex<Vec<bool>>>);
+    impl anomex_detect::detector::Detector for BinsSpy {
+        fn name(&self) -> &str {
+            "bins-spy"
+        }
+        fn interval_ms(&self) -> u64 {
+            60_000
+        }
+        fn reads(&self) -> anomex_detect::detector::Reads {
+            anomex_detect::detector::Reads::Bins { bins_log2: 7 }
+        }
+        fn push(
+            &mut self,
+            stat: &anomex_detect::interval::IntervalStat,
+        ) -> Vec<anomex_detect::alarm::Alarm> {
+            self.0.lock().unwrap().push(stat.dists().is_some());
+            Vec::new()
+        }
+    }
+
+    /// The same spy with no `reads` declaration: the default.
+    struct UndeclaredSpy(Arc<std::sync::Mutex<Vec<bool>>>);
+    impl anomex_detect::detector::Detector for UndeclaredSpy {
+        fn name(&self) -> &str {
+            "undeclared-spy"
+        }
+        fn interval_ms(&self) -> u64 {
+            60_000
+        }
+        fn push(
+            &mut self,
+            stat: &anomex_detect::interval::IntervalStat,
+        ) -> Vec<anomex_detect::alarm::Alarm> {
+            self.0.lock().unwrap().push(stat.dists().is_some());
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn exact_distributions_are_built_only_when_a_detector_reads_them() {
+        use anomex_detect::pca::PcaConfig;
+        let kl = crate::detector::DetectorSpec::Kl(KlConfig {
+            interval_ms: 60_000,
+            ..KlConfig::default()
+        });
+        let pca = crate::detector::DetectorSpec::Pca(
+            PcaConfig { interval_ms: 60_000, ..PcaConfig::default() },
+            12,
+        );
+        // Per window: did the spy's summary carry exact distributions?
+        let run = |specs: &[crate::detector::DetectorSpec], undeclared: bool| {
+            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let mut detectors = DetectorRegistry::from_specs(specs);
+            let spy = Arc::clone(&seen);
+            if undeclared {
+                detectors.register("undeclared-spy", 60_000, move || {
+                    Box::new(UndeclaredSpy(Arc::clone(&spy)))
+                });
+            } else {
+                detectors.register("bins-spy", 60_000, move || Box::new(BinsSpy(Arc::clone(&spy))));
+            }
+            let (mut ingest, reports) = launch(StreamConfig { detectors, ..scan_config(2) });
+            ingest.push_batch(trace());
+            let stats = ingest.finish();
+            let reports: Vec<StreamReport> = reports.iter().collect();
+            assert_eq!(stats.windows, 8);
+            assert!(reports.iter().any(|r| r.alarm().is_some()), "KL still reports the scan");
+            let seen = seen.lock().unwrap().clone();
+            assert_eq!(seen.len(), 8);
+            (seen, reports)
+        };
+        let (kl_only, kl_reports) = run(&[kl], false);
+        assert!(kl_only.iter().all(|&exact| !exact), "KL-only bank built exact distributions");
+        let (ensemble, _) = run(&[kl, pca], false);
+        assert!(ensemble.iter().all(|&exact| exact), "PCA reads exact distributions");
+        let (custom, custom_reports) = run(&[kl], true);
+        assert!(custom.iter().all(|&exact| exact), "an undeclared detector gets them too");
+        // The summary's shape never changes KL's verdicts or hints.
+        let alarms = |reports: &[StreamReport]| -> Vec<Alarm> {
+            reports.iter().filter_map(|r| r.as_alarm()).flat_map(|a| a.sources.clone()).collect()
+        };
+        let kl_alarms = |reports: &[StreamReport]| -> Vec<Alarm> {
+            alarms(reports).into_iter().filter(|a| a.detector == "kl").collect()
+        };
+        assert_eq!(kl_alarms(&kl_reports), kl_alarms(&custom_reports));
     }
 
     #[test]

@@ -789,34 +789,34 @@ impl Drop for ExtractionPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anomex_detect::interval::IntervalStat;
+    use anomex_detect::interval::{IntervalStat, SummarySpec};
     use anomex_flow::store::TimeRange;
     use std::net::Ipv4Addr;
 
     fn window_with_scan(index: u64, width: u64, scan_flows: u32) -> ClosedWindow {
         let range = TimeRange::window_at(index, 0, width);
-        let mut stat = IntervalStat::empty(range);
         let mut records = Vec::new();
         for p in 1..=scan_flows {
-            let r = FlowRecord::builder()
-                .time(range.from_ms + p as u64 % width, range.from_ms + p as u64 % width + 1)
-                .src("10.0.0.9".parse().unwrap(), 55_548)
-                .dst("172.16.0.1".parse().unwrap(), p as u16)
-                .volume(1, 44)
-                .build();
-            stat.add(&r);
-            records.push(r);
+            records.push(
+                FlowRecord::builder()
+                    .time(range.from_ms + p as u64 % width, range.from_ms + p as u64 % width + 1)
+                    .src("10.0.0.9".parse().unwrap(), 55_548)
+                    .dst("172.16.0.1".parse().unwrap(), p as u16)
+                    .volume(1, 44)
+                    .build(),
+            );
         }
         for i in 0..40u32 {
-            let r = FlowRecord::builder()
-                .time(range.from_ms + i as u64, range.from_ms + i as u64 + 10)
-                .src(Ipv4Addr::from(0x0A00_0100 + i), 2_000 + i as u16)
-                .dst(Ipv4Addr::from(0xAC10_0003), 80)
-                .volume(3, 1_500)
-                .build();
-            stat.add(&r);
-            records.push(r);
+            records.push(
+                FlowRecord::builder()
+                    .time(range.from_ms + i as u64, range.from_ms + i as u64 + 10)
+                    .src(Ipv4Addr::from(0x0A00_0100 + i), 2_000 + i as u16)
+                    .dst(Ipv4Addr::from(0xAC10_0003), 80)
+                    .volume(3, 1_500)
+                    .build(),
+            );
         }
+        let stat = IntervalStat::from_records(range, SummarySpec::FULL, &records);
         ClosedWindow { index, range, stat, records: records.into() }
     }
 

@@ -10,11 +10,19 @@
 //! of how shard messages interleave, because a window is only emitted
 //! once every shard's watermark frontier has passed it and partials are
 //! always folded in shard order.
+//!
+//! Summaries carry only what the detectors read
+//! ([`WindowConfig::summary`]): per record, a shard counts volume
+//! totals and one hashed bin per mining feature. Exact per-feature
+//! distributions are built only when a detector declares it reads
+//! them, at close, on the shard thread, by sort + run-length over the
+//! window's records; the manager then merges bins by vector add and
+//! distributions by a linear merge of sorted runs.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use anomex_detect::interval::IntervalStat;
+use anomex_detect::interval::{IntervalStat, SummarySpec};
 use anomex_flow::record::FlowRecord;
 use anomex_flow::store::TimeRange;
 
@@ -29,6 +37,9 @@ pub struct WindowConfig {
     /// pipeline's `IntervalSeries::cut`. When `None` the grid is
     /// anchored at epoch 0 and runs open-ended.
     pub span: Option<TimeRange>,
+    /// What each window's summary carries, derived from the detector
+    /// bank's declarations (`DetectorRegistry::summary_spec`).
+    pub summary: SummarySpec,
 }
 
 impl WindowConfig {
@@ -53,11 +64,16 @@ impl WindowConfig {
     }
 }
 
+/// One shard's records of one window, frozen at close: the shard's own
+/// buffer moved behind an `Arc`, never copied.
+pub type Segment = Arc<Vec<FlowRecord>>;
+
 /// One shard's partial of one closed window.
 ///
-/// The record segment is frozen into an `Arc` slice **on the shard
-/// thread** at close time: from here on, merging, retention and
-/// extraction snapshots only ever clone the `Arc`, never the records.
+/// The shard's record buffer is handed over behind an `Arc` **on the
+/// shard thread** at close time, without copying a record: from here
+/// on, merging, retention and extraction snapshots only ever clone the
+/// `Arc`, never the records.
 #[derive(Debug, Clone)]
 pub struct WindowShard {
     /// Which shard produced it.
@@ -67,7 +83,7 @@ pub struct WindowShard {
     /// Partial interval summary over this shard's records.
     pub stat: IntervalStat,
     /// This shard's records of the window, in arrival order.
-    pub records: Arc<[FlowRecord]>,
+    pub records: Segment,
 }
 
 /// A window still accumulating records on its shard.
@@ -140,7 +156,11 @@ impl ShardWindows {
         }
         let config = &self.config;
         let slot = self.open.entry(index).or_insert_with(|| OpenWindow {
-            stat: IntervalStat::empty(config.range_of(index)),
+            // Exact distributions, if wanted, are built at close.
+            stat: IntervalStat::with_spec(
+                config.range_of(index),
+                SummarySpec { exact: false, ..config.summary },
+            ),
             records: Vec::new(),
         });
         slot.stat.add(&record);
@@ -172,21 +192,30 @@ impl ShardWindows {
         self.frontier = target;
         let still_open = self.open.split_off(&target);
         let closed = std::mem::replace(&mut self.open, still_open);
+        let exact = self.config.summary.exact;
         closed
             .into_iter()
-            .map(|(index, w)| WindowShard {
-                shard: self.shard,
-                index,
-                stat: w.stat,
-                // Freeze here, on the shard thread: downstream hand-offs
-                // (merge, retention, extraction snapshot) are Arc clones.
-                records: w.records.into(),
+            .map(|(index, mut w)| {
+                if exact {
+                    // Sorted runs per feature, here on the shard thread:
+                    // the control thread only merges them.
+                    w.stat.build_dists(&w.records);
+                }
+                WindowShard {
+                    shard: self.shard,
+                    index,
+                    stat: w.stat,
+                    // Freeze here, on the shard thread: downstream
+                    // hand-offs (merge, retention, extraction snapshot)
+                    // are Arc clones of this very buffer.
+                    records: Arc::new(w.records),
+                }
             })
             .collect()
     }
 }
 
-/// The records of one closed window: per-shard `Arc` segments in shard
+/// The records of one closed window: per-shard [`Segment`]s in shard
 /// order, iterated as one logical sequence.
 ///
 /// Cloning a `WindowRecords` clones the segment `Arc`s only — a
@@ -196,7 +225,7 @@ impl ShardWindows {
 /// exactly the order the old contiguous vector had.
 #[derive(Debug, Clone, Default)]
 pub struct WindowRecords {
-    segments: Vec<Arc<[FlowRecord]>>,
+    segments: Vec<Segment>,
     len: usize,
 }
 
@@ -217,7 +246,7 @@ impl WindowRecords {
     }
 
     /// Append one shard's segment (empty segments are dropped).
-    pub fn push_segment(&mut self, segment: Arc<[FlowRecord]>) {
+    pub fn push_segment(&mut self, segment: Segment) {
         self.len += segment.len();
         if !segment.is_empty() {
             self.segments.push(segment);
@@ -225,7 +254,7 @@ impl WindowRecords {
     }
 
     /// The underlying segments, in shard order.
-    pub fn segments(&self) -> &[Arc<[FlowRecord]>] {
+    pub fn segments(&self) -> &[Segment] {
         &self.segments
     }
 
@@ -242,14 +271,12 @@ impl WindowRecords {
 
 impl From<Vec<FlowRecord>> for WindowRecords {
     fn from(records: Vec<FlowRecord>) -> WindowRecords {
-        let mut out = WindowRecords::new();
-        out.push_segment(records.into());
-        out
+        WindowRecords::from(Arc::new(records))
     }
 }
 
-impl From<Arc<[FlowRecord]>> for WindowRecords {
-    fn from(segment: Arc<[FlowRecord]>) -> WindowRecords {
+impl From<Segment> for WindowRecords {
+    fn from(segment: Segment) -> WindowRecords {
         let mut out = WindowRecords::new();
         out.push_segment(segment);
         out
@@ -259,9 +286,9 @@ impl From<Arc<[FlowRecord]>> for WindowRecords {
 impl<'a> IntoIterator for &'a WindowRecords {
     type Item = &'a FlowRecord;
     type IntoIter = std::iter::FlatMap<
-        std::slice::Iter<'a, Arc<[FlowRecord]>>,
+        std::slice::Iter<'a, Segment>,
         std::slice::Iter<'a, FlowRecord>,
-        fn(&'a Arc<[FlowRecord]>) -> std::slice::Iter<'a, FlowRecord>,
+        fn(&'a Segment) -> std::slice::Iter<'a, FlowRecord>,
     >;
 
     fn into_iter(self) -> Self::IntoIter {
@@ -408,9 +435,10 @@ impl WindowManager {
             // Move the first occupied partial instead of merging it
             // into an empty summary: for single-shard pipelines (and
             // any window only one shard touched) the whole window —
-            // distribution maps and record segment — transfers without
-            // copying a single entry. Additional shards contribute
-            // their segment by Arc move, never by record copy.
+            // summary and record segment — transfers without copying a
+            // single entry. Additional shards add their bins (and merge
+            // their sorted runs) and contribute their segment by Arc
+            // move, never by record copy.
             let mut merged: Option<(IntervalStat, WindowRecords)> = None;
             if let Some(slots) = self.pending.remove(&idx) {
                 for shard in slots.into_iter().flatten() {
@@ -426,8 +454,9 @@ impl WindowManager {
                     }
                 }
             }
-            let (stat, records) =
-                merged.unwrap_or_else(|| (IntervalStat::empty(range), WindowRecords::new()));
+            let (stat, records) = merged.unwrap_or_else(|| {
+                (IntervalStat::with_spec(range, self.config.summary), WindowRecords::new())
+            });
             out.push(ClosedWindow { index: idx, range, stat, records });
             idx += 1;
         }
@@ -450,8 +479,12 @@ mod tests {
             .build()
     }
 
+    fn grid(width_ms: u64, span: Option<TimeRange>) -> WindowConfig {
+        WindowConfig { width_ms, span, summary: SummarySpec::FULL }
+    }
+
     fn bounded(width: u64, span_ms: u64) -> WindowConfig {
-        WindowConfig { width_ms: width, span: Some(TimeRange::new(0, span_ms)) }
+        grid(width, Some(TimeRange::new(0, span_ms)))
     }
 
     #[test]
@@ -489,10 +522,7 @@ mod tests {
         assert!(!sw.push(rec(300, 1)), "at span end");
         assert!(!sw.push(rec(5_000, 2)), "far past span");
         assert_eq!(sw.out_of_span(), 2);
-        let mut anchored = ShardWindows::new(
-            0,
-            WindowConfig { width_ms: 100, span: Some(TimeRange::new(500, 900)) },
-        );
+        let mut anchored = ShardWindows::new(0, grid(100, Some(TimeRange::new(500, 900))));
         assert!(!anchored.push(rec(400, 3)), "before span origin");
         assert_eq!(anchored.out_of_span(), 1);
     }
@@ -552,7 +582,8 @@ mod tests {
     #[test]
     fn merged_window_snapshots_share_shard_records() {
         // The zero-clone invariant behind the extraction pool hand-off:
-        // the cross-shard merge moves each shard's frozen `Arc` segment
+        // close hands each shard's own record buffer over as its
+        // segment, the cross-shard merge moves each frozen `Arc` segment
         // into the emitted window, and cloning the window (what a pool
         // dispatch snapshot does) bumps refcounts without copying a
         // single FlowRecord.
@@ -562,8 +593,12 @@ mod tests {
         shard0.push(rec(5, 1));
         shard0.push(rec(10, 2));
         shard1.push(rec(20, 3));
+        let buffer0 = shard0.open[&0].records.as_ptr();
+        let buffer1 = shard1.open[&0].records.as_ptr();
         let from0 = shard0.close_up_to(100);
         let from1 = shard1.close_up_to(100);
+        assert_eq!(from0[0].records.as_ptr(), buffer0, "close copied shard 0's buffer");
+        assert_eq!(from1[0].records.as_ptr(), buffer1, "close copied shard 1's buffer");
         let arc0 = Arc::clone(&from0[0].records);
         let arc1 = Arc::clone(&from1[0].records);
 
@@ -656,7 +691,7 @@ mod tests {
 
     #[test]
     fn open_ended_stream_starts_at_first_occupied_window() {
-        let config = WindowConfig { width_ms: 100, span: None };
+        let config = grid(100, None);
         let mut manager = WindowManager::new(1, config);
         let mut sw = ShardWindows::new(0, config);
         sw.push(rec(720, 1)); // window 7
@@ -672,7 +707,7 @@ mod tests {
     #[test]
     fn clipped_last_window_matches_batch_intervals() {
         let span = TimeRange::new(0, 250);
-        let config = WindowConfig { width_ms: 100, span: Some(span) };
+        let config = grid(100, Some(span));
         assert_eq!(config.window_count(), Some(3));
         let batch = span.intervals(100);
         for (i, expected) in batch.iter().enumerate() {

@@ -11,7 +11,7 @@
 //!    stay dead.
 
 use anomex_core::prelude::ExtractorConfig;
-use anomex_detect::interval::IntervalStat;
+use anomex_detect::interval::{IntervalStat, SummarySpec};
 use anomex_detect::prelude::Alarm;
 use anomex_flow::prelude::*;
 use anomex_stream::prelude::*;
@@ -27,18 +27,17 @@ static COUNTER: CountingAlloc = CountingAlloc;
 /// stays small and the record cost dominates by construction).
 fn bulk_window(index: u64, flows: u32) -> ClosedWindow {
     let range = TimeRange::window_at(index, 0, 60_000);
-    let mut stat = IntervalStat::empty(range);
-    let mut records = Vec::new();
-    for i in 0..flows {
-        let r = FlowRecord::builder()
-            .time(range.from_ms + i as u64 % 60_000, range.from_ms + i as u64 % 60_000 + 10)
-            .src("10.0.0.7".parse().unwrap(), 4_000)
-            .dst("172.16.0.3".parse().unwrap(), 80)
-            .volume(3, 1_500)
-            .build();
-        stat.add(&r);
-        records.push(r);
-    }
+    let records: Vec<FlowRecord> = (0..flows)
+        .map(|i| {
+            FlowRecord::builder()
+                .time(range.from_ms + i as u64 % 60_000, range.from_ms + i as u64 % 60_000 + 10)
+                .src("10.0.0.7".parse().unwrap(), 4_000)
+                .dst("172.16.0.3".parse().unwrap(), 80)
+                .volume(3, 1_500)
+                .build()
+        })
+        .collect();
+    let stat = IntervalStat::from_records(range, SummarySpec::FULL, &records);
     ClosedWindow { index, range, stat, records: records.into() }
 }
 
@@ -46,18 +45,17 @@ fn bulk_window(index: u64, flows: u32) -> ClosedWindow {
 /// benign mix — enough structure for the extractor to report on.
 fn scan_window(index: u64, scan_flows: u32) -> ClosedWindow {
     let range = TimeRange::window_at(index, 0, 60_000);
-    let mut stat = IntervalStat::empty(range);
-    let mut records = Vec::new();
-    for p in 1..=scan_flows {
-        let r = FlowRecord::builder()
-            .time(range.from_ms + p as u64 % 60_000, range.from_ms + p as u64 % 60_000 + 1)
-            .src("10.66.66.66".parse().unwrap(), 55_548)
-            .dst("172.16.0.99".parse().unwrap(), p as u16)
-            .volume(1, 44)
-            .build();
-        stat.add(&r);
-        records.push(r);
-    }
+    let records: Vec<FlowRecord> = (1..=scan_flows)
+        .map(|p| {
+            FlowRecord::builder()
+                .time(range.from_ms + p as u64 % 60_000, range.from_ms + p as u64 % 60_000 + 1)
+                .src("10.66.66.66".parse().unwrap(), 55_548)
+                .dst("172.16.0.99".parse().unwrap(), p as u16)
+                .volume(1, 44)
+                .build()
+        })
+        .collect();
+    let stat = IntervalStat::from_records(range, SummarySpec::FULL, &records);
     ClosedWindow { index, range, stat, records: records.into() }
 }
 

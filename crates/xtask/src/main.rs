@@ -1,6 +1,6 @@
 //! Workspace maintenance tasks, run as `cargo run -p xtask -- <task>`.
 //!
-//! Two tasks:
+//! Three tasks:
 //!
 //! - **`metrics-doc [--check]`** renders `METRICS.md` at the workspace
 //!   root from the streaming pipeline's metric catalog
@@ -9,6 +9,10 @@
 //!   `--check` (the CI mode) it verifies the committed file matches
 //!   instead of writing, so the doc can never drift from the code.
 //! - **`audit-unsafe [--check]`**, the unsafe audit described next.
+//! - **`ab <base-root> <change-root> --workload W --pairs N [--seed S]`**
+//!   runs two checkouts' built repo benchmarks in alternating pairs and
+//!   prints per-metric medians, quartiles, per-pair ratios and win
+//!   counts (see [`ab`]).
 //!
 //! The **unsafe audit** is a comment- and
 //! string-aware scan of every `.rs` file in the workspace that
@@ -36,6 +40,8 @@
 // the audit), which trips the lint that polices stray ones.
 #![allow(clippy::unnecessary_safety_comment)]
 
+mod ab;
+
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -59,13 +65,15 @@ fn main() -> ExitCode {
             }
             metrics_doc(check_only)
         }
+        Some("ab") => ab::main(&args[1..]),
         Some(other) => {
-            eprintln!("xtask: unknown task `{other}` (try `audit-unsafe` or `metrics-doc`)");
+            eprintln!("xtask: unknown task `{other}` (try `audit-unsafe`, `metrics-doc` or `ab`)");
             ExitCode::FAILURE
         }
         None => {
             eprintln!(
-                "xtask: no task given (try `audit-unsafe [--check]` or `metrics-doc [--check]`)"
+                "xtask: no task given (try `audit-unsafe [--check]`, `metrics-doc [--check]` or \
+                 `ab <base-root> <change-root> --workload W --pairs N`)"
             );
             ExitCode::FAILURE
         }
