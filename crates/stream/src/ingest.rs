@@ -1,30 +1,47 @@
-//! The ingest front-end: batched, multi-handle record intake.
+//! The ingest front-end: chunked, multi-handle record intake.
 //!
 //! [`IngestHandle`] routes records to shard workers, tracks event time,
-//! broadcasts watermarks, and decodes NetFlow packets in place. Two
-//! properties make it the ~1M records/sec end of the pipeline:
+//! sends watermarks, and decodes NetFlow packets in place. Three rules
+//! keep the hand-off to the shards cheap:
 //!
-//! - **Batching.** Every handle keeps one flush buffer per shard
-//!   (capacity [`StreamConfig::ingest_batch`], default 64) and hands
-//!   full buffers to the channel in one [`send_many`] call, so the
-//!   per-record synchronization cost of the channel is divided by the
-//!   batch size. The NetFlow v5/v9 decode paths feed whole-packet
-//!   record batches through the same buffers.
+//! - **One chunk per ring slot.** Every handle keeps one chunk per
+//!   shard (capacity [`StreamConfig::ingest_batch`], default 512) and
+//!   hands a full chunk over as a single message, so both ends of a
+//!   shard ring synchronize — and a parked worker is woken — once per
+//!   chunk, not once per record. The rings are sized in records
+//!   ([`StreamConfig::queue_depth`] / `ingest_batch` slots, at least
+//!   two). The NetFlow v5/v9 decode paths fill the same chunks.
+//! - **Only window-closing watermarks are sent.** Every
+//!   [`StreamConfig::watermark_every`] records the handle publishes its
+//!   frontier and computes the global watermark; it flushes its chunks
+//!   and sends that watermark to every shard only when the watermark
+//!   closes a window ([`WindowConfig::target_of`]) beyond the last one
+//!   it sent. Any other watermark would be a no-op on the shard, and
+//!   flushing partial chunks for it would only cost wake-ups.
 //! - **Multi-handle intake.** A handle can be [`clone`]d or
 //!   [`split`](IngestHandle::split) so every collector socket of a
 //!   multi-socket deployment gets its own. Correctness under multiple
 //!   frontiers comes from the [`WatermarkTable`]: a lock-free array of
 //!   per-handle event-time marks whose **minimum over live handles** is
-//!   the only watermark ever broadcast — a record is never declared
-//!   late because a *different* socket runs ahead in event time.
+//!   the only watermark ever sent — a record is never declared late
+//!   because a *different* socket runs ahead in event time. A handle
+//!   flushes every chunk before it publishes a frontier whose own
+//!   window target moved, so no other handle's watermark can close a
+//!   window whose records still sit in this handle's chunks.
 //!
-//! [`send_many`]: crossbeam::channel::Sender::send_many
+//! Chunks are large because the hand-off's cost is wake-ups, not record
+//! copies: a shard worker parks on an empty ring, and every message
+//! that finds it parked costs a futex wake on both ends.
+//!
 //! [`clone`]: IngestHandle::clone
+//! [`StreamConfig::ingest_batch`]: crate::pipeline::StreamConfig::ingest_batch
+//! [`StreamConfig::queue_depth`]: crate::pipeline::StreamConfig::queue_depth
+//! [`StreamConfig::watermark_every`]: crate::pipeline::StreamConfig::watermark_every
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use anomex_flow::error::CodecError;
 use anomex_flow::record::FlowRecord;
@@ -35,6 +52,7 @@ use crossbeam::channel::{Receiver, Sender, TrySendError};
 use crate::fault::{ActiveFaults, FaultSite};
 use crate::metrics::{MetricsReport, MetricsSnapshot, PipelineMetrics};
 use crate::pipeline::{OverloadPolicy, PipelineHealth, ShardMsg, ShardShed, StreamStats};
+use crate::window::WindowConfig;
 // Re-exported from their historical home; the table now lives in
 // `crate::watermark` so it compiles against the `sync` facade and gets
 // model-checked (see that module's memory-ordering contract).
@@ -111,6 +129,8 @@ impl PipelineJoin {
 pub(crate) struct PipelineCore {
     pub(crate) senders: Vec<Sender<ShardMsg>>,
     pub(crate) lateness_ms: u64,
+    /// The window grid, for the window target of a watermark.
+    window: WindowConfig,
     pub(crate) watermarks: WatermarkTable,
     /// Shared metric handles. The ingest totals (records, decode
     /// errors, send failures) live here as registry counters: each
@@ -148,9 +168,11 @@ struct ShutdownState {
 }
 
 impl PipelineCore {
+    #[allow(clippy::too_many_arguments)] // one call site: `launch` hands over its parts
     pub(crate) fn new(
         senders: Vec<Sender<ShardMsg>>,
         lateness_ms: u64,
+        window: WindowConfig,
         join: PipelineJoin,
         metrics: Arc<PipelineMetrics>,
         metrics_rx: Receiver<MetricsReport>,
@@ -161,6 +183,7 @@ impl PipelineCore {
         PipelineCore {
             senders,
             lateness_ms,
+            window,
             watermarks: WatermarkTable::new(),
             metrics,
             metrics_rx: Mutex::new(Some(metrics_rx)),
@@ -174,7 +197,7 @@ impl PipelineCore {
     }
 }
 
-/// The ingest front-end; see the [module docs](self) for the batching
+/// The ingest front-end; see the [module docs](self) for the chunking
 /// and multi-handle design.
 ///
 /// Each handle is single-threaded (one per collector socket); scale
@@ -183,21 +206,25 @@ impl PipelineCore {
 /// processing with [`StreamConfig::shards`].
 ///
 /// [`StreamConfig::shards`]: crate::pipeline::StreamConfig::shards
-/// [`StreamConfig::ingest_batch`]: crate::pipeline::StreamConfig::ingest_batch
 pub struct IngestHandle {
     core: Arc<PipelineCore>,
     slot: usize,
     shards: usize,
-    batch_cap: usize,
+    chunk_len: usize,
     watermark_every: usize,
     since_watermark: usize,
     max_event_ms: u64,
-    buffers: Vec<Vec<ShardMsg>>,
-    /// Records (not watermarks) currently in each shard's buffer —
-    /// exact loss accounting when a flush hits a dead worker, since a
-    /// failing `send_many` may get partway into the buffer before
-    /// observing the disconnect.
-    buffered_records: Vec<u64>,
+    /// The frontier this handle last published to the watermark table.
+    published_ms: u64,
+    /// The window target of this handle's own frontier when it last
+    /// flushed before publishing: no published frontier of this handle
+    /// lets a window at or above it close.
+    flushed_target: u64,
+    /// The window target of the last watermark this handle sent.
+    sent_target: u64,
+    /// One chunk per shard: the records routed there since its last
+    /// hand-off, sent whole as one ring message.
+    chunks: Vec<Vec<FlowRecord>>,
     ingested: u64,
     decode_errors: u64,
     send_failures: u64,
@@ -209,20 +236,23 @@ impl IngestHandle {
     pub(crate) fn launch_first(
         core: Arc<PipelineCore>,
         shards: usize,
-        batch_cap: usize,
+        chunk_len: usize,
         watermark_every: usize,
     ) -> IngestHandle {
         let slot = core.watermarks.acquire(0);
         core.live.fetch_add(1, Ordering::Relaxed);
+        let chunk_len = chunk_len.max(1);
         IngestHandle {
             slot,
             shards,
-            batch_cap: batch_cap.max(1),
+            chunk_len,
             watermark_every: watermark_every.max(1),
             since_watermark: 0,
             max_event_ms: 0,
-            buffers: (0..shards).map(|_| Vec::with_capacity(batch_cap.max(1) + 1)).collect(),
-            buffered_records: vec![0; shards],
+            published_ms: 0,
+            flushed_target: 0,
+            sent_target: 0,
+            chunks: (0..shards).map(|_| Vec::with_capacity(chunk_len)).collect(),
             ingested: 0,
             decode_errors: 0,
             send_failures: 0,
@@ -232,9 +262,9 @@ impl IngestHandle {
         }
     }
 
-    /// Ingest one record into its shard's flush buffer; a full buffer
-    /// is handed to the shard worker in one batched send (the
-    /// backpressure point: blocks while that shard's queue is full).
+    /// Ingest one record into its shard's chunk; a full chunk is handed
+    /// to the shard worker as one ring message (the backpressure point:
+    /// blocks while that shard's ring is full).
     pub fn push(&mut self, record: FlowRecord) {
         self.ingested += 1;
         if let Some(advance_ms) = self.core.faults.late_flood() {
@@ -247,19 +277,18 @@ impl IngestHandle {
             self.max_event_ms = record.start_ms;
         }
         let shard = record.key().shard(self.shards);
-        let buffer = &mut self.buffers[shard];
-        buffer.push(ShardMsg::Record(record));
-        self.buffered_records[shard] += 1;
-        if buffer.len() >= self.batch_cap {
+        let chunk = &mut self.chunks[shard];
+        chunk.push(record);
+        if chunk.len() >= self.chunk_len {
             self.flush_shard(shard);
         }
         self.since_watermark += 1;
         if self.since_watermark >= self.watermark_every {
-            self.broadcast_watermark();
+            self.check_watermark();
         }
     }
 
-    /// Ingest a batch of records through the per-shard buffers.
+    /// Ingest a batch of records through the per-shard chunks.
     pub fn push_batch(&mut self, records: impl IntoIterator<Item = FlowRecord>) {
         for record in records {
             self.push(record);
@@ -350,9 +379,13 @@ impl IngestHandle {
     }
 
     /// The current **global** event-time watermark: the minimum
-    /// frontier over every live handle, minus the lateness bound.
+    /// published frontier over every live handle, minus the lateness
+    /// bound. A handle publishes its frontier at its watermark checks
+    /// (every [`StreamConfig::watermark_every`] records), so records
+    /// since its last check do not count yet.
+    ///
+    /// [`StreamConfig::watermark_every`]: crate::pipeline::StreamConfig::watermark_every
     pub fn watermark_ms(&self) -> u64 {
-        self.core.watermarks.publish(self.slot, self.max_event_ms);
         self.core.watermarks.min_frontier().saturating_sub(self.core.lateness_ms)
     }
 
@@ -377,7 +410,7 @@ impl IngestHandle {
         handles
     }
 
-    /// Hand every buffered record to the shard workers, fold this
+    /// Hand every chunked record to the shard workers, fold this
     /// handle's counters into the pipeline totals, retire the
     /// watermark slot, and — when other handles remain live — broadcast
     /// one final watermark, since retiring the slot may have jumped the
@@ -388,9 +421,7 @@ impl IngestHandle {
             return;
         }
         self.closed = true;
-        for shard in 0..self.shards {
-            self.flush_shard(shard);
-        }
+        self.flush_all();
         self.core.metrics.ingest_records.add(self.ingested);
         self.core.metrics.decode_errors.add(self.decode_errors);
         self.core.metrics.send_failures.add(self.send_failures);
@@ -451,169 +482,155 @@ impl IngestHandle {
         }
     }
 
-    /// Batched hand-off of one shard's buffer. Under
-    /// [`OverloadPolicy::Backpressure`] (the default) this blocks while
-    /// that shard's queue is full; under [`OverloadPolicy::Shed`] it
-    /// retries up to the configured delay and then sheds the rest of
-    /// the batch, with exact per-shard accounting.
+    /// Hand one shard's chunk to its worker as one ring message.
     fn flush_shard(&mut self, shard: usize) {
-        if self.buffers[shard].is_empty() {
+        if self.chunks[shard].is_empty() {
             return;
         }
+        let chunk = std::mem::replace(&mut self.chunks[shard], Vec::with_capacity(self.chunk_len));
         if self.core.metrics.timing() {
-            self.core.metrics.flush_fill.record(self.buffered_records[shard]);
+            self.core.metrics.flush_fill.record(chunk.len() as u64);
             self.core.metrics.ingest_queue_depth.record(self.core.senders[shard].len() as u64);
         }
-        if self.core.faults.fire(FaultSite::RingFull(shard)) {
+        self.send(shard, ShardMsg::Records(chunk));
+    }
+
+    /// Hand every non-empty chunk to its shard.
+    fn flush_all(&mut self) {
+        for shard in 0..self.shards {
+            self.flush_shard(shard);
+        }
+    }
+
+    /// Put one message (a chunk or a watermark) on `shard`'s ring.
+    /// Under [`OverloadPolicy::Backpressure`] (the default) this blocks
+    /// while the ring is full; under [`OverloadPolicy::Shed`] it
+    /// retries until the configured delay has passed and then sheds the
+    /// message. A chunk that is not delivered is counted whole: shed
+    /// records on the global and the per-shard shed counters, records
+    /// lost to a dead worker on `send_failures`.
+    fn send(&mut self, shard: usize, msg: ShardMsg) {
+        let records = match &msg {
+            ShardMsg::Records(chunk) => chunk.len() as u64,
+            _ => 0,
+        };
+        let sender = &self.core.senders[shard];
+        let delivered = if self.core.faults.fire(FaultSite::RingFull(shard)) {
             // Injected saturation: the ring "never drains", which under
-            // backpressure would block forever — so both policies shed
-            // the whole buffer here, deterministically. Watermarks in
-            // the buffer go down with it; the broadcast cadence
-            // re-covers them.
-            self.shed_buffer(shard);
+            // backpressure would block forever, so both policies shed
+            // the message here, deterministically.
+            Err(Loss::Shed)
+        } else {
+            match self.core.overload {
+                OverloadPolicy::Backpressure => sender.send(msg).map_err(|_| Loss::Disconnected),
+                OverloadPolicy::Shed { max_queue_delay } => {
+                    let deadline = Instant::now() + max_queue_delay;
+                    let mut pending = msg;
+                    loop {
+                        match sender.try_send(pending) {
+                            Ok(()) => break Ok(()),
+                            Err(TrySendError::Full(_)) if Instant::now() >= deadline => {
+                                break Err(Loss::Shed)
+                            }
+                            Err(TrySendError::Full(back)) => {
+                                pending = back;
+                                std::thread::yield_now();
+                            }
+                            Err(TrySendError::Disconnected(_)) => break Err(Loss::Disconnected),
+                        }
+                    }
+                }
+            }
+        };
+        match delivered {
+            Ok(()) => {}
+            Err(Loss::Shed) => {
+                if records > 0 {
+                    self.core.metrics.shed_records.add(records);
+                    self.core.shed[shard].add(records);
+                }
+            }
+            // The shard worker is gone (it died mid-run): the chunk can
+            // never be delivered. A vanished worker must surface in the
+            // stats, not swallow traffic.
+            Err(Loss::Disconnected) => self.send_failures += records,
+        }
+    }
+
+    /// The watermark check, every `watermark_every` records: publish
+    /// this handle's frontier and send the global watermark to every
+    /// shard if it closes a window beyond the last one this handle
+    /// sent. Chunks are flushed before a publish that moves this
+    /// handle's own window target (so another handle's watermark can
+    /// never close a window whose records still sit here) and before a
+    /// send (so every shard applies the records pushed before the
+    /// watermark ahead of it).
+    fn check_watermark(&mut self) {
+        self.since_watermark = 0;
+        let lateness_ms = self.core.lateness_ms;
+        let window = self.core.window;
+        let own_target = window.target_of(self.max_event_ms.saturating_sub(lateness_ms));
+        if own_target > self.flushed_target {
+            self.flush_all();
+            self.flushed_target = own_target;
+        }
+        self.core.watermarks.publish(self.slot, self.max_event_ms);
+        self.published_ms = self.max_event_ms;
+        let min = self.core.watermarks.min_frontier();
+        let watermark = min.saturating_sub(lateness_ms);
+        let metrics = &self.core.metrics;
+        if metrics.timing() {
+            // Event-time health at check cadence: how far the watermark
+            // trails the freshest published frontier, how far the
+            // handles have spread apart, and the wall lag.
+            let max = self.core.watermarks.max_frontier();
+            metrics.watermark_broadcast_ms.set(watermark);
+            metrics.lag_event_ms.set(max.saturating_sub(watermark));
+            metrics.frontier_skew_ms.set(max.saturating_sub(min));
+            metrics.lag_wall_ms.set(PipelineMetrics::wall_now_ms().saturating_sub(watermark));
+        }
+        let target = window.target_of(watermark);
+        if target <= self.sent_target {
             return;
         }
-        match self.core.overload {
-            OverloadPolicy::Backpressure => {
-                let buffer = &mut self.buffers[shard];
-                if self.core.senders[shard].send_many(buffer).is_err() {
-                    // The shard worker is gone (disconnected mid-run):
-                    // every record this buffer held — the ones a partial
-                    // `send_many` pushed into the dead channel as well as
-                    // the unsent tail — can never be delivered. Count
-                    // them all; a vanished worker must surface in the
-                    // stats, not swallow traffic.
-                    self.send_failures += self.buffered_records[shard];
-                    buffer.clear();
-                }
-                self.buffered_records[shard] = 0;
-            }
-            OverloadPolicy::Shed { max_queue_delay } => {
-                self.flush_shard_shedding(shard, max_queue_delay);
-            }
-        }
-    }
-
-    /// Drop one shard's entire flush buffer, counting its records on
-    /// the global and per-shard shed counters.
-    fn shed_buffer(&mut self, shard: usize) {
-        let shed = self.buffered_records[shard];
-        if shed > 0 {
-            self.core.metrics.shed_records.add(shed);
-            self.core.shed[shard].add(shed);
-        }
-        self.buffers[shard].clear();
-        self.buffered_records[shard] = 0;
-    }
-
-    /// The [`OverloadPolicy::Shed`] flush: per-message `try_send` with
-    /// one deadline for the whole batch. Messages that still find the
-    /// queue full after the deadline are shed (records counted exactly,
-    /// per shard); a disconnected worker converts the remainder to
-    /// `send_failures`, same as the backpressure path.
-    fn flush_shard_shedding(&mut self, shard: usize, max_queue_delay: Duration) {
-        let sender = &self.core.senders[shard];
-        let deadline = Instant::now() + max_queue_delay;
-        let mut shed = 0u64;
-        let mut lost = 0u64;
-        let mut disconnected = false;
-        let mut past_deadline = false;
-        for msg in self.buffers[shard].drain(..) {
-            let is_record = matches!(msg, ShardMsg::Record(_));
-            if disconnected {
-                if is_record {
-                    lost += 1;
-                }
-                continue;
-            }
-            if past_deadline && is_record {
-                // Watermarks still get their single try below even past
-                // the deadline — they are one message and keep the
-                // survivors' windows closing — but records are shed
-                // without another attempt.
-                shed += 1;
-                continue;
-            }
-            let mut pending = msg;
-            loop {
-                match sender.try_send(pending) {
-                    Ok(()) => break,
-                    Err(TrySendError::Full(back)) => {
-                        if Instant::now() >= deadline {
-                            past_deadline = true;
-                            if is_record {
-                                shed += 1;
-                            }
-                            break;
-                        }
-                        pending = back;
-                        std::thread::yield_now();
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        disconnected = true;
-                        if is_record {
-                            lost += 1;
-                        }
-                        break;
-                    }
-                }
-            }
-        }
-        if shed > 0 {
-            self.core.metrics.shed_records.add(shed);
-            self.core.shed[shard].add(shed);
-        }
-        self.send_failures += lost;
-        self.buffered_records[shard] = 0;
-    }
-
-    /// Publish this handle's frontier, compute the global min-over-
-    /// handles watermark, and append it to every shard's buffer (then
-    /// flush, so idle shards advance too).
-    fn broadcast_watermark(&mut self) {
-        self.since_watermark = 0;
-        self.core.watermarks.publish(self.slot, self.max_event_ms);
-        let watermark = self.core.watermarks.min_frontier().saturating_sub(self.core.lateness_ms);
-        {
-            let metrics = &self.core.metrics;
-            metrics.watermark_broadcasts.inc();
-            if metrics.timing() {
-                // Event-time health at broadcast cadence: how far the
-                // watermark trails the freshest published frontier, how
-                // far the handles have spread apart, and the wall lag.
-                let max = self.core.watermarks.max_frontier();
-                let min = self.core.watermarks.min_frontier();
-                metrics.watermark_broadcast_ms.set(watermark);
-                metrics.lag_event_ms.set(max.saturating_sub(watermark));
-                metrics.frontier_skew_ms.set(max.saturating_sub(min));
-                metrics.lag_wall_ms.set(PipelineMetrics::wall_now_ms().saturating_sub(watermark));
-            }
-        }
+        self.sent_target = target;
+        metrics.watermark_broadcasts.inc();
+        self.flush_all();
         for shard in 0..self.shards {
-            self.buffers[shard].push(ShardMsg::Watermark(watermark));
-            self.flush_shard(shard);
+            self.send(shard, ShardMsg::Watermark(watermark));
         }
     }
 }
 
+/// How a ring message failed to reach its shard.
+enum Loss {
+    /// Dropped by the overload policy (or an injected `RingFull`).
+    Shed,
+    /// The shard worker is gone.
+    Disconnected,
+}
+
 impl Clone for IngestHandle {
     /// A new equivalent handle over the same pipeline, with its own
-    /// shard buffers, watermark slot (seeded from this handle's
-    /// frontier) and NetFlow v9 template cache.
+    /// shard chunks, watermark slot and NetFlow v9 template cache. The
+    /// slot is seeded from this handle's *published* frontier, not its
+    /// running maximum: records behind the latter may still sit in this
+    /// handle's chunks, and the clone must not let their windows close.
     fn clone(&self) -> IngestHandle {
-        self.core.watermarks.publish(self.slot, self.max_event_ms);
-        let slot = self.core.watermarks.acquire(self.max_event_ms);
+        let slot = self.core.watermarks.acquire(self.published_ms);
         self.core.live.fetch_add(1, Ordering::Relaxed);
         IngestHandle {
             core: Arc::clone(&self.core),
             slot,
             shards: self.shards,
-            batch_cap: self.batch_cap,
+            chunk_len: self.chunk_len,
             watermark_every: self.watermark_every,
             since_watermark: 0,
-            max_event_ms: self.max_event_ms,
-            buffers: (0..self.shards).map(|_| Vec::with_capacity(self.batch_cap + 1)).collect(),
-            buffered_records: vec![0; self.shards],
+            max_event_ms: self.published_ms,
+            published_ms: self.published_ms,
+            flushed_target: self.flushed_target,
+            sent_target: self.sent_target,
+            chunks: (0..self.shards).map(|_| Vec::with_capacity(self.chunk_len)).collect(),
             ingested: 0,
             decode_errors: 0,
             send_failures: 0,

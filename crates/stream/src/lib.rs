@@ -11,11 +11,11 @@
 //!
 //! - [`pipeline`] — [`launch`] the assembled pipeline: ingest handle in,
 //!   [`StreamReport`] channel out, bounded queues (backpressure) between.
-//! - [`ingest`] — the batched, multi-handle intake front-end: per-shard
-//!   flush buffers over the lock-free channel (`send_many`/`recv_many`
-//!   amortize synchronization), and [`IngestHandle::split`] for
-//!   multi-socket deployments under one shared min-over-handles
-//!   watermark.
+//! - [`ingest`] — the chunked, multi-handle intake front-end: one
+//!   record chunk per shard, handed over the lock-free channel as one
+//!   message, watermarks sent only when they close a window, and
+//!   [`IngestHandle::split`] for multi-socket deployments under one
+//!   shared min-over-handles watermark.
 //! - [`window`] — event-time tumbling windows, watermarks with bounded
 //!   out-of-orderness, deterministic cross-shard merge.
 //! - [`detector`] — the detector registry and the running ensemble

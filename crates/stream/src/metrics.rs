@@ -60,7 +60,7 @@ def!(
     Counter,
     "records",
     "ingest",
-    "Records dropped because a shard ring was disconnected at flush."
+    "Records dropped because a shard ring was disconnected when their chunk was sent (counted whole chunks)."
 );
 def!(
     INGEST_FLUSH_FILL,
@@ -68,39 +68,39 @@ def!(
     Histogram,
     "records",
     "ingest",
-    "Per-shard flush-buffer fill at each send_many flush (batching efficiency)."
+    "Records per chunk handed to a shard ring: ingest_batch for a full chunk, fewer when a window-closing watermark or a handle close flushed it early."
 );
 def!(
     INGEST_QUEUE_DEPTH,
     "ingest.queue_depth",
     Histogram,
-    "messages",
+    "chunks",
     "ingest",
-    "Shard ring occupancy sampled send-side at each flush. Under closed-loop load the producer outruns the shards and the ring runs half-full to full (buckets are powers of two, so a p99 of 1023 means at least 1% of flushes saw 512-1023 queued messages, not a full ring); that is backpressure, not the queueing an open-loop (paced) run sees — read p50/p90 with it."
+    "Shard ring occupancy in slots (one chunk or one watermark each), sampled send-side before each chunk is sent. Under closed-loop load the producer outruns the shards and the ring runs full (at the defaults it has 2 slots); that is backpressure, not the queueing an open-loop (paced) run sees — read p50/p90 with it."
 );
 def!(
     CHANNEL_CAPACITY,
     "channel.capacity",
     Gauge,
-    "messages",
+    "chunks",
     "channel",
-    "Configured shard ring capacity (the bound behind both queue-depth metrics)."
+    "Shard ring capacity in slots: queue_depth / ingest_batch, at least 2 (the bound behind both queue-depth metrics)."
 );
 def!(
     SHARD_RECV_BATCH,
     "shard.recv_batch",
     Histogram,
-    "messages",
+    "chunks",
     "shard",
-    "Messages drained per recv_many call on a shard worker."
+    "Ring messages (chunks and watermarks) drained per recv_many call on a shard worker."
 );
 def!(
     SHARD_QUEUE_DEPTH,
     "shard.queue_depth",
     Histogram,
-    "messages",
+    "chunks",
     "shard",
-    "Shard ring occupancy sampled receive-side after each drain."
+    "Shard ring occupancy in slots, sampled receive-side after each drain."
 );
 def!(
     SHARD_APPLY_NS,
@@ -300,7 +300,7 @@ def!(
     Counter,
     "broadcasts",
     "watermark",
-    "Watermark broadcasts fanned out to the shard rings."
+    "Window-closing watermarks sent to the shard rings (a handle sends one only when it closes a window beyond the last one that handle sent)."
 );
 def!(
     WATERMARK_BROADCAST_MS,
@@ -308,7 +308,7 @@ def!(
     Gauge,
     "ms",
     "watermark",
-    "Last broadcast watermark (event time: min live frontier minus bounded lateness)."
+    "Global watermark at the last check (event time: min published live frontier minus bounded lateness)."
 );
 def!(
     WATERMARK_LAG_EVENT_MS,
@@ -316,7 +316,7 @@ def!(
     Gauge,
     "ms",
     "watermark",
-    "Event-time lag: freshest published frontier minus the broadcast watermark."
+    "Event-time lag: freshest published frontier minus the global watermark."
 );
 def!(
     WATERMARK_FRONTIER_SKEW_MS,
@@ -332,7 +332,7 @@ def!(
     Gauge,
     "ms",
     "watermark",
-    "Wall-clock lag: unix now minus the broadcast watermark (meaningful for live feeds; huge for replayed synthetic time)."
+    "Wall-clock lag: unix now minus the global watermark (meaningful for live feeds; huge for replayed synthetic time)."
 );
 def!(
     FAULT_INJECTED,

@@ -2,11 +2,12 @@
 //! extract control thread, and a subscriber channel of reports.
 //!
 //! ```text
-//! IngestHandle(s) ──(bounded ring, by flow-key shard, batched
-//!       │            send_many/recv_many)──> shard worker 0..N   [ShardWindows]
+//! IngestHandle(s) ──(bounded ring, by flow-key shard, one
+//!       │            ingest_batch chunk per slot)──> shard worker 0..N [ShardWindows]
 //!       │                                     per record: totals + 4 bin counts
 //!       │                                     at close: sorted runs, if read
-//!       └── shared watermark (min over live handles) ──────────>│ closed shard windows
+//!       └── shared watermark (min over live handles), sent only
+//!           when it closes a window ───────────────────────────>│ closed shard windows
 //!                                                               v
 //!                                            control thread  [WindowManager]
 //!                                      bin vector add + linear run merge
@@ -27,8 +28,11 @@
 //! shard sort its window's feature columns at close.
 //!
 //! Both hops in front of the control thread are bounded, each in its
-//! own unit. The ingest rings carry *records*
-//! ([`StreamConfig::queue_depth`] messages per shard). The
+//! own unit. The ingest rings carry *records*, in chunks of
+//! [`StreamConfig::ingest_batch`]: [`StreamConfig::queue_depth`]
+//! records per shard, as whole chunks and at least two of them. A
+//! watermark takes a slot of its own, and a handle sends one only when
+//! it closes a window, so a shard worker wakes once per chunk. The
 //! shard→control channel carries whole *windows*: it holds
 //! [`window_backlog`] reports — two per shard, one being merged and one
 //! queued — so what a busy extractor holds back is a fixed number of
@@ -45,8 +49,8 @@
 //! deadlock the pipeline against [`IngestHandle::finish`], yet sees the
 //! size of any gap it caused.
 //!
-//! The ingest side lives in [`crate::ingest`]: per-shard flush buffers
-//! batched over the lock-free channel, and any number of concurrent
+//! The ingest side lives in [`crate::ingest`]: per-shard chunks handed
+//! over the lock-free channel, and any number of concurrent
 //! [`IngestHandle`]s sharing one watermark table.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -77,22 +81,25 @@ pub use crate::ingest::IngestHandle;
 pub struct StreamConfig {
     /// Ingest worker threads; records are routed by 5-tuple shard.
     pub shards: usize,
-    /// Capacity of each shard's ingest ring, in messages (records and
-    /// watermarks) — the backpressure depth in front of the shard
-    /// workers. The window-carrying hops behind them are not configured:
-    /// they hold [`window_backlog`] windows.
+    /// Records in flight per shard: each shard's ingest ring holds
+    /// `queue_depth / ingest_batch` whole chunks, and at least two — the
+    /// backpressure depth in front of the shard workers. The
+    /// window-carrying hops behind them are not configured: they hold
+    /// [`window_backlog`] windows.
     pub queue_depth: usize,
-    /// Records buffered per shard in each [`IngestHandle`] before one
-    /// batched `send_many` hands them to the worker; the sender-side
-    /// amortization knob (1 = unbatched).
+    /// Records per chunk, and so per ring slot: each [`IngestHandle`]
+    /// fills one chunk per shard and hands a full chunk to the worker
+    /// as one message (1 = one record per message).
     pub ingest_batch: usize,
     /// Bounded out-of-orderness: the watermark trails the maximum event
     /// time seen by this much. Records older than the watermark are
     /// dropped (and counted) as late.
     pub lateness_ms: u64,
-    /// Broadcast a watermark to every shard after this many records
-    /// (per handle). Also the flush cadence for lightly-loaded shard
-    /// buffers, so it bounds batching latency.
+    /// The watermark check cadence, in records per handle: the handle
+    /// publishes its frontier this often, and sends the global
+    /// watermark (flushing its chunks first) only when that closes a
+    /// window. It is not a flush cadence: a chunk that neither fills nor
+    /// precedes a window-closing watermark waits.
     pub watermark_every: usize,
     /// Replay span; see [`WindowConfig::span`]. `None` = open-ended.
     pub span: Option<TimeRange>,
@@ -155,7 +162,7 @@ impl Default for StreamConfig {
         StreamConfig {
             shards: 2,
             queue_depth: 1_024,
-            ingest_batch: 64,
+            ingest_batch: 512,
             lateness_ms: 30_000,
             watermark_every: 256,
             span: None,
@@ -303,7 +310,8 @@ pub struct StreamStats {
 }
 
 pub(crate) enum ShardMsg {
-    Record(FlowRecord),
+    /// One chunk of records, in arrival order.
+    Records(Vec<FlowRecord>),
     Watermark(u64),
     Flush,
 }
@@ -347,8 +355,11 @@ pub fn launch(config: StreamConfig) -> (IngestHandle, Receiver<StreamReport>) {
     let mut senders = Vec::with_capacity(config.shards);
     let mut workers = Vec::with_capacity(config.shards);
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    // `queue_depth` records as whole chunks, and at least two slots, so
+    // the producer fills one chunk while the worker applies the other.
+    let slots = (config.queue_depth / config.ingest_batch.max(1)).max(2);
     for shard in 0..config.shards {
-        let (tx, rx) = bounded::<ShardMsg>(config.queue_depth);
+        let (tx, rx) = bounded::<ShardMsg>(slots);
         senders.push(tx);
         let ctrl = ctrl_tx.clone();
         let worker_metrics = Arc::clone(&metrics);
@@ -423,6 +434,7 @@ pub fn launch(config: StreamConfig) -> (IngestHandle, Receiver<StreamReport>) {
     let core = Arc::new(PipelineCore::new(
         senders,
         lateness_ms,
+        window_config,
         PipelineJoin { workers, control },
         metrics,
         metrics_rx,
@@ -433,9 +445,8 @@ pub fn launch(config: StreamConfig) -> (IngestHandle, Receiver<StreamReport>) {
     (handle, report_rx)
 }
 
-/// Messages a shard worker drains per `recv_many` call. Pairs with the
-/// ingest side's `send_many` batches so both ends of the ring amortize
-/// their synchronization on the ~1M records/sec path.
+/// Messages (chunks and watermarks) a shard worker drains per
+/// `recv_many` call at most.
 const SHARD_RECV_BATCH: usize = 256;
 
 /// Windows the control thread may dispatch to the detector pool ahead
@@ -489,16 +500,19 @@ fn shard_worker(
             stage_timer!(metrics.shard_apply);
             for msg in batch.drain(..) {
                 match msg {
-                    ShardMsg::Record(record) => {
-                        windows.push(record);
+                    ShardMsg::Records(chunk) => {
+                        for record in chunk {
+                            windows.push(record);
+                        }
                     }
                     ShardMsg::Watermark(watermark_ms) => {
                         let frontier_before = windows.frontier();
                         let partials = windows.close_up_to(watermark_ms);
                         if partials.is_empty() && windows.frontier() == frontier_before {
-                            // Stale watermark (multi-handle intake repeats
-                            // them): nothing closed, frontier unmoved — the
-                            // manager needs no report.
+                            // Stale watermark (each handle of a multi-handle
+                            // intake sends its own, and a closing handle
+                            // sends one unconditionally): nothing closed,
+                            // frontier unmoved — the manager needs no report.
                             continue;
                         }
                         closed.push(CtrlMsg::Report {
@@ -1185,11 +1199,13 @@ mod tests {
 
     #[test]
     fn batch_sizes_agree_on_stats_and_reports() {
-        // The flush-buffer size is pure mechanics: every batch size
-        // must produce the identical run.
+        // The chunk size and the watermark check cadence are pure
+        // mechanics: every combination must produce the identical run.
         let mut baseline: Option<(StreamStats, Vec<StreamReport>)> = None;
-        for ingest_batch in [1usize, 7, 256] {
-            let config = StreamConfig { ingest_batch, ..scan_config(2) };
+        for (ingest_batch, watermark_every) in
+            [1usize, 7, 256, 512].into_iter().flat_map(|b| [(b, 1usize), (b, 256)])
+        {
+            let config = StreamConfig { ingest_batch, watermark_every, ..scan_config(2) };
             let (mut ingest, reports) = launch(config);
             ingest.push_batch(trace());
             let stats = ingest.finish();
@@ -1197,7 +1213,10 @@ mod tests {
             match &baseline {
                 None => baseline = Some((stats, received)),
                 Some((expected_stats, expected_reports)) => {
-                    assert_eq!(&stats, expected_stats, "batch {ingest_batch} diverged");
+                    assert_eq!(
+                        &stats, expected_stats,
+                        "batch {ingest_batch}, check every {watermark_every} diverged"
+                    );
                     assert_eq!(received.len(), expected_reports.len());
                     for (a, b) in received.iter().zip(expected_reports) {
                         let (a, b) = (a.as_alarm().unwrap(), b.as_alarm().unwrap());
@@ -1247,6 +1266,73 @@ mod tests {
         assert_eq!(stats.windows, 8);
         assert_eq!(received.len(), 1);
         assert_eq!(received[0].alarm().unwrap().window.from_ms, 7 * 60_000);
+    }
+
+    #[test]
+    fn a_handle_flushes_its_chunks_before_its_frontier_can_close_their_window() {
+        // Handle `a` holds records of window 0 in an unflushed chunk
+        // when its own frontier moves past window 0's end plus the
+        // lateness. `a` must hand its chunks over before it publishes
+        // that frontier: handle `b`, which holds the global watermark
+        // back, then sends the watermark that closes window 0, and
+        // `a`'s records must already be ahead of it in the ring.
+        // Publishing first would leave them in `a`'s chunk behind `b`'s
+        // watermark, to be dropped as late.
+        fn probe(start_ms: u64, port: u16) -> FlowRecord {
+            FlowRecord::builder()
+                .time(start_ms, start_ms + 1)
+                .src("10.0.0.1".parse().unwrap(), port)
+                .dst("172.16.0.1".parse().unwrap(), 80)
+                .volume(1, 64)
+                .build()
+        }
+        let config = StreamConfig {
+            shards: 1,
+            lateness_ms: 5_000,
+            watermark_every: 4,
+            ingest_batch: 512,
+            ..scan_config(1)
+        };
+        let (ingest, reports) = launch(config);
+        let mut handles = ingest.split(2);
+        let mut b = handles.pop().unwrap();
+        let mut a = handles.pop().unwrap();
+        // Three window-0 records wait in `a`'s chunk; the fourth moves
+        // `a`'s frontier to 66 s and triggers its check. `b` (still at
+        // 0) holds the global watermark back, so `a` sends nothing.
+        for i in 0..3 {
+            a.push(probe(10_000 + i, 2_000 + i as u16));
+        }
+        a.push(probe(66_000, 3_000));
+        assert_eq!(a.metrics_snapshot().counter("watermark.broadcasts"), 0);
+        // `b`'s check moves the global watermark to 61 s: window 0
+        // closes, on `b`'s send.
+        for i in 0..4 {
+            b.push(probe(70_000 + i, 1_000 + i as u16));
+        }
+        assert_eq!(b.metrics_snapshot().counter("watermark.broadcasts"), 1);
+        drop(a);
+        let stats = b.finish();
+        assert_eq!(stats.ingested, 8);
+        assert_eq!(stats.late_dropped, 0, "a's window-0 records fell behind b's watermark");
+        assert_eq!(stats.windows, 8);
+        drop(reports);
+    }
+
+    #[test]
+    fn a_single_handle_sends_only_window_closing_watermarks() {
+        // One KL handle over eight windows, checking on every record:
+        // a watermark goes out only when it closes a window, so at most
+        // one per window (plus the closing handle's own).
+        let config = StreamConfig { watermark_every: 1, ..scan_config(2) };
+        let (mut ingest, _reports) = launch(config);
+        let metrics = ingest.metrics_reports().expect("subscription available");
+        ingest.push_batch(trace());
+        let stats = ingest.finish();
+        let last = metrics.iter().last().expect("final metrics report");
+        let broadcasts = last.snapshot.counter("watermark.broadcasts");
+        assert!(broadcasts >= 1, "the in-order feed closes windows as it goes");
+        assert!(broadcasts <= stats.windows + 1, "{broadcasts} watermarks for {stats:?}");
     }
 
     #[test]
@@ -1485,7 +1571,7 @@ mod tests {
                 .volume(1, 64)
                 .build()
         }
-        // Every push publishes the handle's frontier and broadcasts the
+        // Every push publishes the handle's frontier and checks the
         // min-over-handles watermark, so the gauge values after the
         // third push are exact functions of the three frontiers.
         let config = StreamConfig {
@@ -1502,13 +1588,18 @@ mod tests {
         // Frontiers are now (10_000, 20_000, 60_000): the watermark is
         // min − lateness, lag is max − watermark, skew is max − min.
         let snap = handles[0].metrics_snapshot();
-        assert_eq!(snap.counter("watermark.broadcasts"), 3);
+        // A watermark of 5 000 ms closes no 60 s window, so none was sent.
+        assert_eq!(snap.counter("watermark.broadcasts"), 0);
         assert_eq!(snap.gauge("watermark.broadcast_ms"), Some(5_000));
         assert_eq!(snap.gauge("watermark.lag_event_ms"), Some(55_000));
         assert_eq!(snap.gauge("watermark.frontier_skew_ms"), Some(50_000));
         drop(handles.drain(1..));
+        // Alone now, handle 0 moves the watermark to 65 000 ms: window 0
+        // closes, and that is the one watermark sent.
+        handles[0].push(probe(70_000));
+        assert_eq!(handles[0].metrics_snapshot().counter("watermark.broadcasts"), 1);
         let stats = handles.pop().unwrap().finish();
-        assert_eq!(stats.ingested, 3);
+        assert_eq!(stats.ingested, 4);
         assert_eq!(stats.late_dropped, 0, "no record fell behind the shared watermark");
     }
 }

@@ -62,6 +62,15 @@ impl WindowConfig {
         }
         range
     }
+
+    /// The window target of a watermark at `watermark_ms` event time:
+    /// every window with a lower index has ended (capped at the span's
+    /// window count). A watermark changes a shard only when its target
+    /// is above the shard's frontier.
+    pub fn target_of(&self, watermark_ms: u64) -> u64 {
+        let target = watermark_ms.saturating_sub(self.origin_ms()) / self.width_ms;
+        self.window_count().map_or(target, |count| target.min(count))
+    }
 }
 
 /// One shard's records of one window, frozen at close: the shard's own
@@ -171,12 +180,7 @@ impl ShardWindows {
     /// Advance the watermark to `watermark_ms` event time, closing and
     /// returning every window whose end it passed (in index order).
     pub fn close_up_to(&mut self, watermark_ms: u64) -> Vec<WindowShard> {
-        let origin = self.config.origin_ms();
-        let mut target = watermark_ms.saturating_sub(origin) / self.config.width_ms;
-        if let Some(count) = self.config.window_count() {
-            target = target.min(count);
-        }
-        self.close_to_target(target)
+        self.close_to_target(self.config.target_of(watermark_ms))
     }
 
     /// Stream end: close every remaining window and seal the shard (the

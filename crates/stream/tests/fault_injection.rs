@@ -290,6 +290,80 @@ fn forced_ring_full_sheds_with_exact_per_shard_accounting() {
     assert!(received.is_empty(), "no record reached a detector, so nothing may report");
 }
 
+/// `n` one-packet records one millisecond apart from t = 0, all in the
+/// first 60 s window.
+fn probes(n: u64) -> Vec<FlowRecord> {
+    (0..n)
+        .map(|i| {
+            FlowRecord::builder()
+                .time(i, i + 10)
+                .src("10.0.0.1".parse().unwrap(), 1_234)
+                .dst("172.16.0.1".parse().unwrap(), 80)
+                .volume(1, 100)
+                .build()
+        })
+        .collect()
+}
+
+/// One shard over one 60 s window, KL only, 512-record chunks.
+fn one_shard_config(faults: FaultPlan) -> StreamConfig {
+    let kl = KlConfig { interval_ms: WIDTH_MS, ..KlConfig::default() };
+    StreamConfig {
+        shards: 1,
+        ingest_batch: 512,
+        span: Some(TimeRange::new(0, WIDTH_MS)),
+        detectors: DetectorRegistry::kl(kl),
+        faults,
+        ..StreamConfig::default()
+    }
+}
+
+#[test]
+fn ring_full_on_a_full_chunk_sheds_exactly_that_chunk() {
+    // The first ring message to shard 0 is the first full chunk (no
+    // watermark closes the only window before the end): an injected
+    // RingFull on it sheds its 512 records — no more, no fewer — on the
+    // global and the per-shard counter, and the second chunk lands.
+    let config = one_shard_config(FaultPlan::new().once(FaultSite::RingFull(0), 1));
+    let (stats, _received) = run_bounded(config, probes(1_024));
+    assert_eq!(stats.ingested, 1_024);
+    assert_eq!(stats.health.shed_records, 512);
+    assert_eq!(stats.health.per_shard_shed, vec![ShardShed { shard: 0, records: 512 }]);
+    assert_eq!(stats.send_failures, 0);
+    assert_eq!(stats.windows, 1);
+}
+
+#[test]
+fn a_dead_shards_chunk_lands_on_send_failures_exactly() {
+    // Shard 0 dies on its first drained batch. Full chunks keep coming;
+    // once the dead worker's ring disconnects, the first chunk that
+    // fails to send counts its 512 records on `send_failures`, exactly.
+    let config = one_shard_config(FaultPlan::new().once(FaultSite::ShardPanic(0), 1));
+    let (tx, rx) = mpsc::channel();
+    let runner = thread::spawn(move || {
+        let (mut ingest, reports) = launch(config);
+        let chunk = probes(512);
+        let mut chunks = 0u64;
+        while ingest.send_failures() == 0 {
+            assert!(chunks < 10_000, "the dead shard's ring never disconnected");
+            ingest.push_batch(chunk.iter().cloned());
+            chunks += 1;
+            thread::sleep(Duration::from_millis(1));
+        }
+        let lost = ingest.send_failures();
+        let stats = ingest.finish();
+        let _ = tx.send((lost, stats, reports.iter().count()));
+    });
+    let (lost, stats, reports) =
+        rx.recv_timeout(DEADLINE).expect("faulted pipeline must finish in bounded time");
+    runner.join().expect("runner thread");
+    assert_eq!(lost, 512, "one failed send loses one whole chunk");
+    assert_eq!(stats.send_failures, 512);
+    assert_eq!(stats.health.shard_deaths, 1);
+    assert_eq!(stats.health.shed_records, 0);
+    assert_eq!(reports, 1, "the run ends with its terminal fault notice");
+}
+
 #[test]
 fn shed_policy_with_generous_deadline_matches_backpressure() {
     // An un-saturated ring never hits the deadline, so Shed must be

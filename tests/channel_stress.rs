@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use proptest::prelude::*;
 
 /// Messages are `(producer_id, seq)` so every invariant is checkable
@@ -184,53 +184,40 @@ proptest! {
         prop_assert_eq!(&batched, &messages, "batched path must match per-message exactly");
     }
 
-    /// Range-claim batching is observation-equivalent to the retained
-    /// one-CAS-per-slot baseline (`send_many_per_slot` /
-    /// `recv_many_per_slot`): for any messages, chunk sizes and ring
-    /// capacity, both protocols produce the identical transcript — the
+    /// Both flavors' batched paths are lossless FIFO: for any messages,
+    /// chunk sizes and ring capacity, range-claim `send_many` /
+    /// `recv_many` on the bounded ring, and the single-lock batch loops
+    /// of the unbounded list, deliver exactly the input sequence — the
     /// single tail/head CAS per range and the per-slot stamp publishes
     /// change the cost, never the observable behavior.
     #[test]
-    fn range_claim_batching_equals_the_per_slot_baseline(
+    fn batched_paths_are_lossless_fifo_on_both_flavors(
         messages in proptest::collection::vec(any::<u32>(), 0..400),
         send_chunk in 1usize..48,
         recv_chunk in 1usize..48,
         cap in 1usize..32,
     ) {
-        let run = |range_claim: bool| -> Vec<u32> {
-            let (tx, rx) = bounded::<u32>(cap);
+        let run = |(tx, rx): (Sender<u32>, Receiver<u32>)| -> Vec<u32> {
             let msgs = messages.clone();
             let producer = std::thread::spawn(move || {
                 let mut batch = Vec::new();
                 for m in msgs {
                     batch.push(m);
                     if batch.len() >= send_chunk {
-                        if range_claim {
-                            tx.send_many(&mut batch).unwrap();
-                        } else {
-                            tx.send_many_per_slot(&mut batch).unwrap();
-                        }
+                        tx.send_many(&mut batch).unwrap();
                     }
                 }
-                if range_claim {
-                    tx.send_many(&mut batch).unwrap();
-                } else {
-                    tx.send_many_per_slot(&mut batch).unwrap();
-                }
+                tx.send_many(&mut batch).unwrap();
             });
             let mut collected = Vec::new();
-            if range_claim {
-                while rx.recv_many(&mut collected, recv_chunk) > 0 {}
-            } else {
-                while rx.recv_many_per_slot(&mut collected, recv_chunk) > 0 {}
-            }
+            while rx.recv_many(&mut collected, recv_chunk) > 0 {}
             producer.join().unwrap();
             collected
         };
 
-        let per_slot = run(false);
-        let range = run(true);
-        prop_assert_eq!(&per_slot, &messages, "per-slot baseline must be lossless FIFO");
-        prop_assert_eq!(&range, &per_slot, "range-claim must match the per-slot baseline exactly");
+        let range = run(bounded(cap));
+        let list = run(unbounded());
+        prop_assert_eq!(&range, &messages, "range-claim batching must be lossless FIFO");
+        prop_assert_eq!(&list, &messages, "unbounded batching must be lossless FIFO");
     }
 }
